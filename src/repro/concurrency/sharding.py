@@ -111,30 +111,19 @@ class ShardedExecutor:
     def execute(self, query: Query) -> ResultTable:
         """Execute ``query`` shard-parallel; byte-equal to the serial path.
 
-        With a cache attached to the shared engine the sharded path
-        consults it under the same keys the serial path uses — a result
-        computed serially serves sharded readers and vice versa.
+        With a cache attached to the shared engine the sharded path goes
+        through the engine's own cached path, under the same keys and
+        counters — a result computed serially serves sharded readers and
+        vice versa.
         """
-        cache = self.engine.cache
-        key = None
-        if cache is not None and not self.engine.lineage.enabled:
-            key = cache.key_for(
-                self.mvft, query, self.engine._cache_policy_digest
-            )
-            hit = cache.get(key)
-            if hit is not None:
-                return hit
-        table = self._execute(query)
-        if key is not None:
-            cache.put(key, table)
-        return table
+        return self.engine.execute_with(query, self._execute)
 
     def _execute(self, query: Query) -> ResultTable:
         mode, _ = self.engine.resolve(query)
         rows = self.mvft.slice(mode.label)
         parts = shard_rows(rows, self.shards)
         if len(parts) <= 1:
-            return self.engine.execute(query)
+            return self.engine._execute_uncached(query)
         # Shard workers record through the shared engine (thread-safe);
         # finalize folds the merged lists, so the recorded ⊗cf steps match
         # the serial fold order exactly.

@@ -22,6 +22,8 @@ algebra — is what reports the resulting unreliability.
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
@@ -76,12 +78,19 @@ class AggregateFunction:
 
 
 class SumAggregate(AggregateFunction):
-    """``⊕ = +`` — the default for additive measures such as amounts."""
+    """``⊕ = +`` — the default for additive measures such as amounts.
+
+    Values are added left to right, so a running total resumes the fold
+    exactly: ``fold([a, b, c]) == fold([fold([a, b]), c])``, which the
+    derived MultiVersion fact table relies on.
+    """
 
     name = "sum"
 
     def fold(self, values: Sequence[float]) -> float:
-        return sum(values)
+        # Not the builtin ``sum``: from Python 3.12 it compensates rounding
+        # error across the whole sequence, which a running total cannot resume.
+        return functools.reduce(operator.add, values, 0)
 
 
 class MinAggregate(AggregateFunction):

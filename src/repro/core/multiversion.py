@@ -21,26 +21,40 @@ The table is **inferred** from the Temporal Multidimensional Schema:
 * facts with *no route at all* into a mode are collected in
   :attr:`MultiVersionFactTable.unmapped` — the impossible cross-points the
   §5.2 front end paints red.
+
+One kernel does the routing and folding.  :meth:`MultiVersionFactTable.build`
+folds every fact into empty modes; :meth:`MultiVersionFactTable.refreshed`
+folds only the facts appended since a table was inferred into a *new* table
+that shares every untouched row.  A table is never mutated once built.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import dataclass, replace
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Iterator, Mapping, Sequence
+
+from repro.observability import runtime as _obs
 
 from .chronology import Instant
 from .confidence import ConfidenceFactor, SD, UK
 from .errors import QueryError
-from .facts import FactRow
+from .facts import FactRow, MaxAggregate, MinAggregate, SumAggregate
 from .mapping import Route
 from .presentation import ModeSet, PresentationMode, TCM_LABEL
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .schema import TemporalMultidimensionalSchema
 
-__all__ = ["MVFactRow", "UnmappedFact", "MultiVersionFactTable"]
+__all__ = ["MVFactRow", "UnmappedFact", "MultiVersionFactTable", "FOLDABLE_AGGREGATES"]
+
+FOLDABLE_AGGREGATES = (SumAggregate, MinAggregate, MaxAggregate)
+"""Measure aggregates whose fold over ``[a, b, c]`` equals the fold over
+``[fold([a, b]), c]`` — the Definition-12 property that lets a cell resume
+folding from its stored value (count and avg do not qualify)."""
 
 
 @dataclass(frozen=True)
@@ -103,56 +117,214 @@ class UnmappedFact:
         )
 
 
-class _CellAccumulator:
-    """Collects contributions to one MV cell and folds them (Definition 12)."""
+CellKey = tuple[tuple[tuple[str, str], ...], Instant]
+"""A cell within one mode: its sorted ``(dimension, leaf)`` pairs and ``t``."""
 
-    __slots__ = ("contributions", "provenance")
 
-    def __init__(self) -> None:
-        self.contributions: dict[str, list[tuple[float | None, ConfidenceFactor]]] = {}
-        self.provenance: list[str] = []
+def _cell_key(coordinates: Mapping[str, str], t: Instant) -> CellKey:
+    return (tuple(sorted(coordinates.items())), t)
 
-    def add(
+
+@dataclass(frozen=True)
+class _Basis:
+    """What a table was inferred from — the state :meth:`refreshed` checks."""
+
+    token: int
+    facts: tuple[FactRow, ...]
+    structure: int
+    targets: Mapping[tuple[str, str], frozenset[str]]  # leaf ids per (mode, dim)
+    build_args: Mapping[str, Any]
+
+
+@contextmanager
+def _inference(kind: str) -> Iterator[Any]:
+    """The ``mvft.build`` span and ``mvft.builds`` counter of one pass."""
+    with _obs.current_tracer().span("mvft.build", attributes={"kind": kind}) as span:
+        yield span
+    metrics = _obs.current_metrics()
+    if metrics.enabled:
+        metrics.counter("mvft.builds", {"kind": kind}).inc()
+
+
+class _Kernel:
+    """Definitions 11 and 12 for one schema state.  Routes are memoized
+    per (member version, mode, dimension), so repeated facts on a member
+    are cheap."""
+
+    def __init__(self, schema: "TemporalMultidimensionalSchema", basis: _Basis) -> None:
+        self.schema = schema
+        self.dimension_ids = schema.dimension_ids
+        self.measures = schema.measure_names
+        self.aggregates = [schema.measure(m).aggregate for m in self.measures]
+        self.targets = basis.targets
+        self.max_hops = basis.build_args["max_hops"]
+        self.route_cache: dict[tuple[str, str, str], list[Route]] = {}
+
+    def route(self, fact: FactRow, label: str) -> UnmappedFact | list[tuple]:
+        """Route one fact into one version mode: for every cell it lands
+        on, the converted values, their confidences (``⊗cf`` composed hop
+        by hop) and the provenance entry."""
+        measures, aggregator = self.measures, self.schema.cf_aggregator
+        routes_per_dim: list[list[Route]] = []
+        for did in self.dimension_ids:
+            source = fact.coordinate(did)
+            routes = self.route_cache.get((source, label, did))
+            if routes is None:
+                routes = self.schema.mappings.routes(
+                    source, self.targets[(label, did)],
+                    measures=measures, max_hops=self.max_hops,
+                )
+                self.route_cache[(source, label, did)] = routes
+            if not routes:
+                return UnmappedFact(fact=fact, mode=label, dimension=did, source=source)
+            routes_per_dim.append(routes)
+        landed = []
+        for combo in itertools.product(*routes_per_dim):
+            values: list[float | None] = []
+            confidences: list[ConfidenceFactor] = []
+            for m in measures:
+                value, confidence = fact.value(m), SD
+                for route in combo:
+                    value = route.convert(m, value)
+                    confidence = aggregator.combine(confidence, route.confidence(m))
+                values.append(value)
+                confidences.append(confidence)
+            steps = [
+                f"{route.source} -> {route.target} via "
+                f"{ {m: route.maps[m].function.describe() for m in measures} }"
+                for route in combo
+                if route.hops
+            ]
+            entry = "; ".join(steps) if steps else "valid in version (source data)"
+            if fact.source is not None:
+                entry += f" [from {fact.source}]"
+            targets = zip(self.dimension_ids, (route.target for route in combo))
+            landed.append(((tuple(sorted(targets)), fact.t), values, confidences, entry))
+        return landed
+
+    def fold(
         self,
-        measure: str,
-        value: float | None,
-        confidence: ConfidenceFactor,
-    ) -> None:
-        self.contributions.setdefault(measure, []).append((value, confidence))
+        label: str,
+        facts: Sequence[FactRow],
+        existing: Mapping[CellKey, MVFactRow],
+    ) -> tuple[dict[CellKey, MVFactRow], list[UnmappedFact]]:
+        """Fold ``facts`` into the cells of one version mode with each
+        measure's ``⊕`` and ``⊗cf``, resuming the cells in ``existing``
+        from their folded values (sound for :data:`FOLDABLE_AGGREGATES`).
+        Returns the touched cells and the facts with no route."""
+        measures = self.measures
+        cells: dict[CellKey, tuple[list[list], list[list], list[str]]] = {}
+        unmapped: list[UnmappedFact] = []
+        for fact in facts:
+            landed = self.route(fact, label)
+            if isinstance(landed, UnmappedFact):
+                unmapped.append(landed)
+                continue
+            for key, values, confidences, entry in landed:
+                cell = cells.get(key)
+                if cell is None:
+                    row = existing.get(key)
+                    cell = cells[key] = (
+                        ([[] for _ in measures], [[] for _ in measures], [])
+                        if row is None
+                        else (
+                            [[row.values[m]] for m in measures],
+                            [[row.confidences[m]] for m in measures],
+                            list(row.provenance),
+                        )
+                    )
+                for acc, value in zip(cell[0], values):
+                    acc.append(value)
+                for acc, confidence in zip(cell[1], confidences):
+                    acc.append(confidence)
+                cell[2].append(entry)
+        aggregator = self.schema.cf_aggregator
+        return {
+            key: MVFactRow(
+                coordinates=dict(key[0]),
+                t=key[1],
+                mode=label,
+                values={
+                    m: agg.combine_all(vs)
+                    for m, agg, vs in zip(measures, self.aggregates, values)
+                },
+                confidences={
+                    m: aggregator.combine_all(cfs)
+                    for m, cfs in zip(measures, confidences)
+                },
+                provenance=tuple(provenance),
+            )
+            for key, (values, confidences, provenance) in cells.items()
+        }, unmapped
+
+    def tcm_row(self, fact: FactRow) -> MVFactRow:
+        """``f'|tcm = f × {sd}^m``: the fact itself, fully confident."""
+        origin = "" if fact.source is None else f" [from {fact.source}]"
+        return MVFactRow(
+            coordinates=fact.coordinates,
+            t=fact.t,
+            mode=TCM_LABEL,
+            values={m: fact.value(m) for m in self.measures},
+            confidences={m: SD for m in self.measures},
+            provenance=(f"source data{origin}",),
+        )
+
+
+def _merge(
+    rows: tuple[MVFactRow, ...],
+    cells: dict[CellKey, MVFactRow],
+    existing: Mapping[CellKey, MVFactRow],
+) -> tuple[MVFactRow, ...]:
+    """``rows`` with ``cells`` replaced or inserted in version-mode row
+    order: time, then sorted coordinates."""
+    ordered = sorted(cells.items(), key=lambda item: (item[0][1], item[0][0]))
+    if not rows:
+        return tuple(row for _, row in ordered)
+    merged = list(rows)
+    for (coordinates, t), row in ordered:
+        at = bisect.bisect_left(
+            merged, (t, coordinates),
+            key=lambda r: (r.t, tuple(sorted(r.coordinates.items()))),
+        )
+        if (coordinates, t) in existing:
+            merged[at] = row
+        else:
+            merged.insert(at, row)
+    return tuple(merged)
 
 
 class MultiVersionFactTable:
     """The inferred multiversion store behind every presentation mode.
 
-    Build with :meth:`build`; query with :meth:`slice`, :meth:`lookup` and
-    :meth:`rows`.  The builder memoizes mapping routes per (member version,
-    structure version) so repeated facts on the same member are cheap.
+    Build with :meth:`build`, bring up to date with :meth:`refreshed`;
+    query with :meth:`slice`, :meth:`lookup` and :meth:`rows`.  A table is
+    immutable: its mode slices and :attr:`unmapped` are tuples, and a
+    newer schema state always yields a *new* table.
     """
 
     def __init__(
         self,
         schema: "TemporalMultidimensionalSchema",
         modes: ModeSet,
-        rows_by_mode: dict[str, list[MVFactRow]],
-        unmapped: list[UnmappedFact],
+        rows_by_mode: dict[str, tuple[MVFactRow, ...]],
+        index: dict[str, dict[CellKey, MVFactRow]],
+        unmapped: dict[str, tuple[UnmappedFact, ...]],
+        basis: _Basis,
     ) -> None:
         self._schema = schema
         self._modes = modes
         self._rows_by_mode = rows_by_mode
+        self._index = index
         self._unmapped = unmapped
+        self._basis = basis
         # The schema state this table was inferred from — the *structure
         # version* component of versioned result-cache keys.  The table is
-        # frozen after build, so the stamp describes its contents forever;
+        # immutable, so the stamp describes its contents forever;
         # ``is_stale`` compares it against the live schema's current token.
-        self.schema_token: int = schema.version_token()
+        self.schema_token: int = basis.token
         # The MVCC commit version this table was pinned from, when it was
-        # derived through a snapshot cursor (0 for ad-hoc live builds).
+        # inferred for a snapshot cursor (0 for ad-hoc live builds).
         self.snapshot_version: int = 0
-        self._index: dict[tuple[tuple[tuple[str, str], ...], Instant, str], MVFactRow] = {}
-        for mode_rows in rows_by_mode.values():
-            for row in mode_rows:
-                key = (tuple(sorted(row.coordinates.items())), row.t, row.mode)
-                self._index[key] = row
 
     # -- construction ----------------------------------------------------------
 
@@ -171,145 +343,96 @@ class MultiVersionFactTable:
         including any requested version modes; ``tcm`` is cheap and always
         materialized unless explicitly excluded).
         """
-        modes = schema.presentation_modes(horizon=horizon)
-        wanted = list(modes.labels) if mode_labels is None else list(mode_labels)
-        for label in wanted:
-            modes.mode(label)  # raise early on unknown labels
-        measures = schema.measure_names
-        aggregator = schema.cf_aggregator
-        rows_by_mode: dict[str, list[MVFactRow]] = {}
-        unmapped: list[UnmappedFact] = []
-
-        if TCM_LABEL in wanted:
-            rows_by_mode[TCM_LABEL] = [
-                MVFactRow(
-                    coordinates=row.coordinates,
-                    t=row.t,
-                    mode=TCM_LABEL,
-                    values={m: row.value(m) for m in measures},
-                    confidences={m: SD for m in measures},
-                    provenance=(
-                        ("source data",)
-                        if row.source is None
-                        else (f"source data [from {row.source}]",)
-                    ),
-                )
-                for row in schema.facts
-            ]
-
-        route_cache: dict[tuple[str, str, str], list[Route]] = {}
-        for mode in modes:
-            if mode.is_tcm or mode.label not in wanted:
-                continue
-            rows_by_mode[mode.label] = cls._build_mode(
-                schema,
-                mode,
-                measures,
-                aggregator,
-                route_cache,
-                unmapped,
-                max_hops,
+        with _inference("full") as span:
+            token = schema.version_token()
+            modes = schema.presentation_modes(horizon=horizon)
+            wanted = list(modes.labels) if mode_labels is None else list(mode_labels)
+            for label in wanted:
+                modes.mode(label)  # raise early on unknown labels
+            labels = [label for label in modes.labels if label in wanted]
+            targets = {
+                (mode.label, did): mode.version.leaf_ids(did)
+                for mode in modes.version_modes
+                if mode.label in wanted
+                for did in schema.dimension_ids
+            }
+            args = dict(horizon=horizon, max_hops=max_hops, mode_labels=mode_labels)
+            facts = tuple(schema.facts)
+            basis = _Basis(token, facts, schema.structure_token(), targets, args)
+            return cls._fold(
+                schema, modes, {label: () for label in labels},
+                {label: {} for label in labels},
+                {label: () for label in labels if label != TCM_LABEL},
+                basis, facts, span,
             )
-        return cls(schema, modes, rows_by_mode, unmapped)
 
-    @staticmethod
-    def _build_mode(
+    def refreshed(self) -> "MultiVersionFactTable":
+        """A table matching the live schema; this one is left untouched.
+
+        * **current** — nothing changed since inference: ``self``;
+        * **derived** — facts were only appended past this table's fact
+          prefix, no dimension or mapping changed and every measure is in
+          :data:`FOLDABLE_AGGREGATES`: a new table sharing every untouched
+          row and mode slice, with the new facts folded into the affected
+          cells — rows, their order, :attr:`unmapped` and lookups exactly
+          as a rebuild would give;
+        * **rebuilt** — otherwise (an evolution, a new mapping, a rolled
+          back fact): a full :meth:`build` with this table's parameters.
+        """
+        schema = self._schema
+        token = schema.version_token()
+        if token == self.schema_token:
+            return self
+        basis = self._basis
+        facts = tuple(schema.facts)
+        folded = len(basis.facts)
+        if (
+            basis.structure == schema.structure_token()
+            and facts[:folded] == basis.facts
+            and all(isinstance(m.aggregate, FOLDABLE_AGGREGATES)
+                    for m in schema.measures)
+        ):
+            with _inference("derived") as span:
+                return self._fold(
+                    schema, self._modes, self._rows_by_mode, self._index, self._unmapped,
+                    replace(basis, token=token, facts=facts), facts[folded:], span,
+                )
+        return self.build(schema, **basis.build_args)
+
+    @classmethod
+    def _fold(
+        cls,
         schema: "TemporalMultidimensionalSchema",
-        mode: PresentationMode,
-        measures: list[str],
-        aggregator,
-        route_cache: dict[tuple[str, str, str], list[Route]],
-        unmapped: list[UnmappedFact],
-        max_hops: int,
-    ) -> list[MVFactRow]:
-        version = mode.version
-        assert version is not None
-        targets = {did: version.leaf_ids(did) for did in schema.dimension_ids}
-        cells: dict[tuple[tuple[tuple[str, str], ...], Instant], _CellAccumulator] = {}
-
-        for fact in schema.facts:
-            routes_per_dim: list[list[Route]] = []
-            blocked_dim: str | None = None
-            blocked_src = ""
-            for did in schema.dimension_ids:
-                source = fact.coordinate(did)
-                cache_key = (source, version.vsid, did)
-                if cache_key not in route_cache:
-                    route_cache[cache_key] = schema.mappings.routes(
-                        source,
-                        targets[did],
-                        measures=measures,
-                        max_hops=max_hops,
-                    )
-                routes = route_cache[cache_key]
-                if not routes:
-                    blocked_dim, blocked_src = did, source
-                    break
-                routes_per_dim.append(routes)
-            if blocked_dim is not None:
-                unmapped.append(
-                    UnmappedFact(
-                        fact=fact,
-                        mode=mode.label,
-                        dimension=blocked_dim,
-                        source=blocked_src,
-                    )
-                )
-                continue
-
-            for combo in itertools.product(*routes_per_dim):
-                coords = {
-                    did: route.target
-                    for did, route in zip(schema.dimension_ids, combo)
-                }
-                key = (tuple(sorted(coords.items())), fact.t)
-                acc = cells.setdefault(key, _CellAccumulator())
-                steps: list[str] = []
-                for m in measures:
-                    value = fact.value(m)
-                    confidence = SD
-                    for route in combo:
-                        value = route.convert(m, value)
-                        confidence = aggregator.combine(
-                            confidence, route.confidence(m)
-                        )
-                    acc.add(m, value, confidence)
-                for route in combo:
-                    if route.hops:
-                        described = {
-                            m: route.maps[m].function.describe() for m in measures
-                        }
-                        steps.append(
-                            f"{route.source} -> {route.target} via {described}"
-                        )
-                entry = (
-                    "; ".join(steps) if steps else "valid in version (source data)"
-                )
-                if fact.source is not None:
-                    entry += f" [from {fact.source}]"
-                acc.provenance.append(entry)
-
-        rows: list[MVFactRow] = []
-        for (coord_items, t), acc in cells.items():
-            values: dict[str, float | None] = {}
-            confidences: dict[str, ConfidenceFactor] = {}
-            for m in measures:
-                contribs = acc.contributions.get(m, [])
-                agg = schema.measure(m).aggregate
-                values[m] = agg.combine_all(v for v, _ in contribs)
-                confidences[m] = aggregator.combine_all(cf for _, cf in contribs)
-            rows.append(
-                MVFactRow(
-                    coordinates=dict(coord_items),
-                    t=t,
-                    mode=mode.label,
-                    values=values,
-                    confidences=confidences,
-                    provenance=tuple(acc.provenance),
-                )
-            )
-        rows.sort(key=lambda r: (r.t, tuple(sorted(r.coordinates.items()))))
-        return rows
+        modes: ModeSet,
+        rows_by_mode: Mapping[str, tuple[MVFactRow, ...]],
+        index: Mapping[str, dict[CellKey, MVFactRow]],
+        unmapped: Mapping[str, tuple[UnmappedFact, ...]],
+        basis: _Basis,
+        facts: Sequence[FactRow],
+        span: Any,
+    ) -> "MultiVersionFactTable":
+        """A new table: these slices with ``facts`` folded into every mode.
+        Untouched slices and index maps are shared, never copied."""
+        kernel = _Kernel(schema, basis)
+        rows_by_mode, index, unmapped = dict(rows_by_mode), dict(index), dict(unmapped)
+        for label, rows in rows_by_mode.items():
+            if label == TCM_LABEL:
+                added = tuple(kernel.tcm_row(fact) for fact in facts)
+                rows += added  # one row per fact; a later duplicate wins lookups
+                cells = {_cell_key(row.coordinates, row.t): row for row in added}
+            else:
+                cells, lost = kernel.fold(label, facts, index[label])
+                if lost:
+                    unmapped[label] += tuple(lost)
+                if cells:
+                    rows = _merge(rows, cells, index[label])
+            if cells:
+                rows_by_mode[label] = rows
+                index[label] = {**index[label], **cells}
+        table = cls(schema, modes, rows_by_mode, index, unmapped, basis)
+        span.set("facts", len(facts)).set("rows", len(table))
+        span.set("unmapped", sum(len(lost) for lost in unmapped.values()))
+        return table
 
     # -- access ------------------------------------------------------------------
 
@@ -324,22 +447,20 @@ class MultiVersionFactTable:
         return self._modes
 
     def is_stale(self) -> bool:
-        """Whether the source schema mutated after this table was built.
+        """Whether the source schema mutated after this table was inferred.
 
-        Inference is eager and the table is frozen afterwards, so any
-        later ``add_fact`` / evolution on the live schema leaves this
-        table describing an older state.  Version-aware readers
-        (:class:`~repro.olap.cube.Cube`, the lazy aggregate lattice) call
-        this before serving and re-infer when it answers ``True``;
-        snapshot-pinned tables are built from immutable clones and are
-        never stale.
+        A table is immutable, so any later ``add_fact`` / evolution on the
+        live schema leaves it describing an older state; :meth:`refreshed`
+        then derives or rebuilds a current one.  Snapshot-pinned tables
+        are inferred from immutable clones and are never stale.
         """
         return self._schema.version_token() != self.schema_token
 
     @property
     def unmapped(self) -> list[UnmappedFact]:
-        """Facts with no route into some mode (red cells in the §5.2 UI)."""
-        return list(self._unmapped)
+        """Facts with no route into some mode (red cells in the §5.2 UI),
+        grouped by mode in mode order, in fact order within a mode."""
+        return [fact for lost in self._unmapped.values() for fact in lost]
 
     def slice(self, mode_label: str) -> list[MVFactRow]:
         """All rows of one presentation mode."""
@@ -361,8 +482,8 @@ class MultiVersionFactTable:
         self, coordinates: Mapping[str, str], t: Instant, mode_label: str
     ) -> MVFactRow | None:
         """The cell at exactly these coordinates/time/mode, if materialized."""
-        key = (tuple(sorted(coordinates.items())), t, mode_label)
-        return self._index.get(key)
+        cells = self._index.get(mode_label)
+        return None if cells is None else cells.get(_cell_key(coordinates, t))
 
     def cell_count(self) -> dict[str, int]:
         """Number of materialized cells per mode (storage-redundancy bench)."""

@@ -566,6 +566,18 @@ class QueryEngine:
         :class:`ResultTable` objects are shared across callers and
         treated as immutable.
         """
+        return self.execute_with(query, self._execute_uncached)
+
+    def execute_with(
+        self, query: Query, compute: Callable[[Query], ResultTable]
+    ) -> ResultTable:
+        """The cached execution path around ``compute``.
+
+        :meth:`execute` passes the serial pipeline;
+        :class:`~repro.concurrency.sharding.ShardedExecutor` passes its
+        shard-parallel one, so both share one key, one lookup and the
+        ``query.cache_hits`` / ``query.cache_misses`` counters.
+        """
         cache = self._cache
         key = None
         if cache is not None and not self._lineage.enabled:
@@ -579,7 +591,7 @@ class QueryEngine:
                             "query.cache_hits", {"mode": query.mode}
                         ).inc()
                     return hit
-        table = self._execute_uncached(query)
+        table = compute(query)
         if key is not None:
             _, metrics = self._observability()
             if metrics.enabled:

@@ -204,10 +204,18 @@ class TemporalMultidimensionalSchema:
         an inferred :class:`~repro.core.multiversion.MultiVersionFactTable`
         records it at build time and can later tell whether it went stale.
         """
-        token = self.facts.version_token
-        mappings_token = self.mappings.version_token
-        if mappings_token > token:
-            token = mappings_token
+        return max(self.facts.version_token, self.structure_token())
+
+    def structure_token(self) -> int:
+        """The stamp of everything but the facts: the dimensions and the
+        mapping catalog.
+
+        Fact appends and rollbacks leave it unchanged; every evolution or
+        mapping change moves it.  An inferred
+        :class:`~repro.core.multiversion.MultiVersionFactTable` compares it
+        to tell a fact-only change (derive) from a structural one (rebuild).
+        """
+        token = self.mappings.version_token
         for dim in self._dimensions.values():
             if dim.version_token > token:
                 token = dim.version_token

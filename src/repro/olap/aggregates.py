@@ -82,9 +82,10 @@ class AggregateLattice:
             self.executor = _rebuild_executor(self.executor, mvft)
 
     def _refresh(self) -> None:
-        """Rebuild against the live schema if it mutated since binding."""
-        if self.mvft.is_stale():
-            self.rebind(self.schema.multiversion_facts())
+        """Rebind to a table matching the live schema if it mutated."""
+        mvft = self.mvft.refreshed()
+        if mvft is not self.mvft:
+            self.rebind(mvft)
 
     # -- node computation -----------------------------------------------------------
 
@@ -118,15 +119,9 @@ class AggregateLattice:
         )
         if self.executor is None:
             return self.engine.execute(query)
-        # The sharded executor carries its own engine; wrap it with the
-        # same keyed lookup the serial path gets for free.
-        key = self.cache.key_for(self.mvft, query, self.policy_digest)
-        hit = self.cache.get(key)
-        if hit is not None:
-            return hit
-        result = self.executor.execute(query)
-        self.cache.put(key, result)
-        return result
+        # The sharded executor carries its own engine; run it through
+        # this lattice's cached path.
+        return self.engine.execute_with(query, self.executor.execute)
 
     def _project(
         self, result: ResultTable, measure: str

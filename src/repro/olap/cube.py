@@ -202,19 +202,20 @@ class Cube:
         )
 
     def refresh(self) -> bool:
-        """Rebuild against the live schema if it mutated since binding.
+        """Rebind to a table matching the live schema if it mutated.
 
-        The MultiVersion table is frozen at inference time, so a cube
-        over a *live* (un-snapshotted) schema would otherwise keep
-        serving pre-write structure and totals forever — both through
-        the lattice and through the engine.  Every pivot first checks
-        the schema's version token and re-infers when stale; cubes over
-        MVCC snapshot clones never pay this (their schemas are
-        immutable).  Returns whether a rebuild happened.
+        The MultiVersion table is immutable, so a cube over a *live*
+        (un-snapshotted) schema would otherwise keep serving pre-write
+        structure and totals forever — both through the lattice and
+        through the engine.  Every pivot first asks the table for
+        :meth:`~repro.core.multiversion.MultiVersionFactTable.refreshed`
+        (derived after fact appends, rebuilt after evolutions); cubes
+        over MVCC snapshot clones never pay this (their schemas are
+        immutable).  Returns whether the table changed.
         """
-        if not self.mvft.is_stale():
+        mvft = self.mvft.refreshed()
+        if mvft is self.mvft:
             return False
-        mvft = self.schema.multiversion_facts()
         self._bind(mvft)
         if self.executor is not None:
             from .aggregates import _rebuild_executor

@@ -125,3 +125,21 @@ class TestExecutorIntegration:
         with manager.transaction():
             insert_department(txm, "shx_a", "ShxA")
         assert executor.execute(query).to_text() == before
+
+
+class TestShardedCache:
+    def test_sharded_hit_is_counted_like_a_serial_one(self, mvft):
+        from repro.cache import VersionedResultCache
+        from repro.observability import MetricsRegistry
+
+        metrics = MetricsRegistry()
+        executor = ShardedExecutor(
+            mvft, shards=3, cache=VersionedResultCache(), metrics=metrics
+        )
+        query = QUERIES[0].with_mode("V2")
+        first = executor.execute(query)
+        assert executor.execute(query) is first
+        assert executor.execute_serial(query) is first
+        counters = metrics.snapshot()["counters"]
+        assert counters['query.cache_misses{mode="V2"}'] == 1
+        assert counters['query.cache_hits{mode="V2"}'] == 2

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core import (
+    AVG,
     EvolutionManager,
     Interval,
     Measure,
@@ -13,7 +14,11 @@ from repro.core import (
     TemporalMultidimensionalSchema,
     TemporalRelationship,
 )
-from repro.workloads.case_study import ORG, fact_instant
+from repro.core.chronology import ym
+from repro.core.multiversion import MultiVersionFactTable
+from repro.observability import MetricsRegistry, instrumented
+from repro.robustness import TransactionManager
+from repro.workloads.case_study import ORG, build_case_study, fact_instant
 
 
 class TestTcmSlice:
@@ -214,3 +219,131 @@ class TestMaxHops:
         narrow = MultiVersionFactTable.build(schema, max_hops=3)
         assert narrow.lookup({ORG: "v5"}, 5, last_mode) is None
         assert [u for u in narrow.unmapped if u.mode == last_mode]
+
+
+def _observable(table):
+    """Ordered rows, unmapped facts and lookups of every mode."""
+    return (
+        {
+            label: [
+                (
+                    tuple(r.coordinates.items()), r.t, r.mode,
+                    tuple((m, repr(v)) for m, v in r.values.items()),
+                    tuple((m, c.symbol) for m, c in r.confidences.items()),
+                    r.provenance,
+                )
+                for r in table.slice(label)
+            ]
+            for label in table.modes.labels
+        },
+        [(u.mode, u.dimension, u.source, u.fact) for u in table.unmapped],
+        [table.lookup(r.coordinates, r.t, r.mode) for r in table.rows()],
+    )
+
+
+class TestRefreshed:
+    """``refreshed`` picks current / derived / rebuilt and never mutates."""
+
+    def test_current_table_is_returned_as_is(self):
+        study = build_case_study()
+        table = MultiVersionFactTable.build(study.schema)
+        assert table.refreshed() is table
+
+    def test_derived_table_shares_rows_and_leaves_parent_untouched(self):
+        study = build_case_study()
+        table = MultiVersionFactTable.build(study.schema)
+        before = _observable(table)
+        study.schema.add_fact({ORG: "brian"}, fact_instant(2001), amount=7.0)
+        derived = table.refreshed()
+        assert derived is not table and not derived.is_stale()
+        assert table.is_stale() and _observable(table) == before
+        old_tcm, new_tcm = table.slice("tcm"), derived.slice("tcm")
+        assert all(a is b for a, b in zip(old_tcm, new_tcm))
+        assert len(new_tcm) == len(old_tcm) + 1
+        shared = {id(r) for r in table.rows()} & {id(r) for r in derived.rows()}
+        assert len(shared) == len(table) - len(table.modes.version_modes)
+        assert _observable(derived) == _observable(
+            MultiVersionFactTable.build(study.schema)
+        )
+
+    def test_rolled_back_prefix_forces_rebuild(self):
+        study = build_case_study()
+        txm = TransactionManager(study.schema)
+        table = MultiVersionFactTable.build(study.schema)
+        txm.begin()
+        txm.add_fact({ORG: "jones"}, fact_instant(2001), amount=1000.0)
+        seen = table.refreshed()
+        assert seen.lookup({ORG: "jones"}, fact_instant(2001), "tcm").value(
+            "amount"
+        ) == 1000.0
+        txm.rollback()
+        study.schema.add_fact({ORG: "smith"}, fact_instant(2001), amount=3.0)
+        refreshed = seen.refreshed()
+        assert _observable(refreshed) == _observable(
+            MultiVersionFactTable.build(study.schema)
+        )
+        assert refreshed.lookup({ORG: "jones"}, fact_instant(2001), "tcm").value(
+            "amount"
+        ) == 100.0
+
+    def test_evolution_rebuilds_with_the_same_parameters(self):
+        study = build_case_study()
+        table = MultiVersionFactTable.build(
+            study.schema, max_hops=1, mode_labels=["V1", "V3"]
+        )
+        EvolutionManager(study.schema).split_member(
+            ORG,
+            "smith",
+            {"smith_a": ("Dpt.Smith-A", 0.5), "smith_b": ("Dpt.Smith-B", 0.5)},
+            ym(2004, 1),
+        )
+        rebuilt = table.refreshed()
+        assert rebuilt.cell_count().keys() == {"V1", "V3"}
+        assert _observable(rebuilt) == _observable(
+            MultiVersionFactTable.build(
+                study.schema, max_hops=1, mode_labels=["V1", "V3"]
+            )
+        )
+
+    def test_derived_with_build_parameters(self):
+        study = build_case_study()
+        table = MultiVersionFactTable.build(
+            study.schema, horizon=ym(2010, 1), max_hops=1, mode_labels=["V2"]
+        )
+        study.schema.add_fact({ORG: "bill"}, fact_instant(2003), amount=9.0)
+        assert _observable(table.refreshed()) == _observable(
+            MultiVersionFactTable.build(
+                study.schema, horizon=ym(2010, 1), max_hops=1, mode_labels=["V2"]
+            )
+        )
+
+    def test_non_foldable_measure_rebuilds(self):
+        d = TemporalDimension(ORG)
+        d.add_member(MemberVersion("a", "A", Interval(0), level="Department"))
+        schema = TemporalMultidimensionalSchema(
+            [d], [Measure("amount", SUM), Measure("mean", AVG)]
+        )
+        schema.add_fact({ORG: "a"}, 5, amount=1.0, mean=2.0)
+        table = MultiVersionFactTable.build(schema)
+        schema.add_fact({ORG: "a"}, 5, amount=3.0, mean=4.0)
+        with instrumented(metrics=MetricsRegistry()) as (_, metrics):
+            refreshed = table.refreshed()
+        assert metrics.snapshot()["counters"] == {'mvft.builds{kind="full"}': 1}
+        assert refreshed.lookup({ORG: "a"}, 5, "V1").value("mean") == 3.0
+
+    def test_every_pass_is_one_span_and_one_count(self):
+        study = build_case_study()
+        with instrumented() as (tracer, metrics):
+            table = MultiVersionFactTable.build(study.schema)
+            study.schema.add_fact({ORG: "brian"}, fact_instant(2001), amount=7.0)
+            derived = table.refreshed()
+        full, again = tracer.find("mvft.build")
+        assert full.attributes == {
+            "kind": "full", "facts": 10, "rows": len(table), "unmapped": 0,
+        }
+        assert again.attributes == {
+            "kind": "derived", "facts": 1, "rows": len(derived), "unmapped": 0,
+        }
+        counters = metrics.snapshot()["counters"]
+        assert counters['mvft.builds{kind="full"}'] == 1
+        assert counters['mvft.builds{kind="derived"}'] == 1
