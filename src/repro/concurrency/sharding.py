@@ -3,19 +3,22 @@
 Snapshot isolation makes the inputs of a query — the MultiVersion fact
 table rows and the structure versions behind them — immutable, so they
 are trivially shareable across a ``concurrent.futures`` pool.
-:class:`ShardedExecutor` exploits the two-phase split of
-:class:`~repro.core.query.QueryEngine`:
+:class:`ShardedExecutor` is a collect strategy for the one execution
+pipeline of :class:`~repro.core.query.QueryEngine` — resolve, collect,
+finalize, with its spans, counters, lineage and slow log — and changes
+only the collect phase:
 
 1. the mode's row slice is partitioned into contiguous shards;
-2. each worker runs phase one
-   (:meth:`~repro.core.query.QueryEngine.collect_contributions`) over its
+2. each worker runs
+   :meth:`~repro.core.query.QueryEngine.collect_contributions` over its
    shard, producing a partial group map;
 3. partials are merged in shard order
    (:func:`~repro.core.query.merge_contributions`) — contribution lists
    concatenate, so the merged map is *identical* to the serial one, fold
-   order included — and phase two
-   (:meth:`~repro.core.query.QueryEngine.finalize`) folds ``⊕``/``⊗cf``
-   once.
+   order included.
+
+The engine's finalize then folds ``⊕``/``⊗cf`` once, as it does for a
+serial read.
 
 Determinism therefore does not depend on aggregate associativity: the
 sharded result is byte-equal to the serial result by construction, which
@@ -34,7 +37,6 @@ count).  Process pools are deliberately not used: fact rows expose
 from __future__ import annotations
 
 import os
-import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Sequence
 
@@ -111,29 +113,27 @@ class ShardedExecutor:
     def execute(self, query: Query) -> ResultTable:
         """Execute ``query`` shard-parallel; byte-equal to the serial path.
 
-        With a cache attached to the shared engine the sharded path goes
-        through the engine's own cached path, under the same keys and
-        counters — a result computed serially serves sharded readers and
-        vice versa.
+        The engine's one pipeline runs with :meth:`_collect` as its
+        collect phase, behind the engine's cached path — same keys and
+        counters, so a result computed serially serves sharded readers
+        and vice versa.
         """
-        return self.engine.execute_with(query, self._execute)
+        return self.engine.execute_with(
+            query, lambda q: self.engine._execute_uncached(q, self._collect)
+        )
 
-    def _execute(self, query: Query) -> ResultTable:
+    def _collect(self, query: Query) -> dict[tuple[object, ...], dict[str, list]]:
+        """The shard-parallel collect phase: the merged group map.
+
+        Workers record lineage through the shared engine (thread-safe);
+        the merged lists keep the serial fold order, so the ``⊗cf`` steps
+        finalize records match a serial read's."""
         mode, _ = self.engine.resolve(query)
         rows = self.mvft.slice(mode.label)
         parts = shard_rows(rows, self.shards)
         if len(parts) <= 1:
-            return self.engine._execute_uncached(query)
-        # Shard workers record through the shared engine (thread-safe);
-        # finalize folds the merged lists, so the recorded ⊗cf steps match
-        # the serial fold order exactly.
-        if self.engine.lineage.enabled:
-            self.engine.lineage.begin(mode.label)
-        slow = self.engine.slow_log
-        slow_on = slow is not None and slow.enabled
+            return self.engine.collect_contributions(query)
         tracer, metrics = self.engine._observability()
-        if not (tracer.enabled or metrics.enabled or slow_on):
-            return self._execute_sharded(query, parts)
         with tracer.span(
             "shard.execute",
             attributes={
@@ -153,51 +153,19 @@ class ShardedExecutor:
                 ):
                     return self.engine.collect_contributions(query, part)
 
-            started = time.perf_counter()
+            # The first shard runs here, warming the engine's shared
+            # structure caches; concurrent misses after it are safe (dict
+            # writes are atomic), merely redundant.
             partials = [collect((0, parts[0]))]
             with ThreadPoolExecutor(max_workers=self.max_workers) as pool:
                 partials.extend(pool.map(collect, enumerate(parts[1:], start=1)))
-            merge_start = time.perf_counter()
             with tracer.span("shard.merge", parent=root) as merge_span:
                 merged = merge_contributions(partials)
                 merge_span.set("groups", len(merged))
-            merged_at = time.perf_counter()
-            metrics.histogram("shard.merge_seconds").observe(merged_at - merge_start)
-            with tracer.span("shard.finalize", parent=root):
-                table = self.engine.finalize(query, merged)
-            finished = time.perf_counter()
-        metrics.counter("shard.queries").inc()
-        metrics.counter("shard.shards_run").inc(len(parts))
-        if slow_on:
-            slow.record(
-                mode=mode.label,
-                seconds=finished - started,
-                phases={
-                    "collect": merge_start - started,
-                    "merge": merged_at - merge_start,
-                    "finalize": finished - merged_at,
-                },
-                query=query,
-            )
-        return table
-
-    def _execute_sharded(
-        self, query: Query, parts: list[Sequence[MVFactRow]]
-    ) -> ResultTable:
-        """The uninstrumented fan-out (identical work, zero tracing cost)."""
-        # Warm the engine's structure caches serially on the first shard:
-        # the per-(mode, dimension, t) snapshot cache is shared across
-        # workers and dict writes are atomic, so concurrent misses are
-        # safe, merely redundant.
-        partials = [self.engine.collect_contributions(query, parts[0])]
-        with ThreadPoolExecutor(max_workers=self.max_workers) as pool:
-            partials.extend(
-                pool.map(
-                    lambda part: self.engine.collect_contributions(query, part),
-                    parts[1:],
-                )
-            )
-        return self.engine.finalize(query, merge_contributions(partials))
+        if metrics.enabled:
+            metrics.counter("shard.queries").inc()
+            metrics.counter("shard.shards_run").inc(len(parts))
+        return merged
 
     def execute_serial(self, query: Query) -> ResultTable:
         """The serial reference path (same engine, whole slice at once)."""

@@ -24,12 +24,12 @@ result cell carries the reliability tag the §5.2 front end colours by.
 from __future__ import annotations
 
 import itertools
-import time
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from repro.observability import runtime as _obs
 from repro.observability.lineage import NULL_LINEAGE
+from repro.observability.tracing import STOPWATCH
 
 from .chronology import Granularity, Instant, Interval, YEAR
 from .confidence import ConfidenceFactor
@@ -348,11 +348,6 @@ class QueryEngine:
         """Attach (or with ``None`` detach) a lineage recorder."""
         self._lineage = lineage if lineage is not None else NULL_LINEAGE
 
-    @property
-    def slow_log(self):
-        """The attached slow-query log, if any."""
-        return self._slow_log
-
     def _observability(self):
         """The effective ``(tracer, metrics)`` pair (injected or default)."""
         tracer = self._tracer if self._tracer is not None else _obs.current_tracer()
@@ -574,31 +569,27 @@ class QueryEngine:
         """The cached execution path around ``compute``.
 
         :meth:`execute` passes the serial pipeline;
-        :class:`~repro.concurrency.sharding.ShardedExecutor` passes its
-        shard-parallel one, so both share one key, one lookup and the
-        ``query.cache_hits`` / ``query.cache_misses`` counters.
+        :class:`~repro.concurrency.sharding.ShardedExecutor` passes the
+        same pipeline with its shard-parallel collect, so both share one
+        key, one lookup and the ``query.cache_hits`` /
+        ``query.cache_misses`` counters.
         """
         cache = self._cache
         key = None
         if cache is not None and not self._lineage.enabled:
             key = cache.key_for(self._mvft, query, self._cache_policy_digest)
-            if key is not None:
-                hit = cache.get(key)
-                if hit is not None:
-                    _, metrics = self._observability()
-                    if metrics.enabled:
-                        metrics.counter(
-                            "query.cache_hits", {"mode": query.mode}
-                        ).inc()
-                    return hit
-        table = compute(query)
-        if key is not None:
-            _, metrics = self._observability()
+        if key is None:
+            return compute(query)
+        _, metrics = self._observability()
+        table = cache.get(key)
+        if table is not None:
             if metrics.enabled:
-                metrics.counter(
-                    "query.cache_misses", {"mode": query.mode}
-                ).inc()
-            cache.put(key, table)
+                metrics.counter("query.cache_hits", {"mode": query.mode}).inc()
+            return table
+        table = compute(query)
+        if metrics.enabled:
+            metrics.counter("query.cache_misses", {"mode": query.mode}).inc()
+        cache.put(key, table)
         return table
 
     @property
@@ -606,36 +597,41 @@ class QueryEngine:
         """The attached result cache, if any."""
         return self._cache
 
-    def _execute_uncached(self, query: Query) -> ResultTable:
+    def _execute_uncached(
+        self, query: Query, collect: Callable[[Query], dict] | None = None
+    ) -> ResultTable:
+        """The one execution pipeline: resolve, ``collect``, finalize.
+
+        ``collect`` defaults to :meth:`collect_contributions` over the
+        whole slice.  The slow log reads its times off the phase spans —
+        timed by :data:`~repro.observability.tracing.STOPWATCH` when
+        tracing is off."""
         tracer, metrics = self._observability()
-        if self._lineage.enabled:
-            self._lineage.begin(query.mode)
         slow = self._slow_log
         slow_on = slow is not None and slow.enabled
-        if not (tracer.enabled or metrics.enabled or slow_on):
-            return self.finalize(query, self.collect_contributions(query))
-        with tracer.span("query.execute", attributes={"mode": query.mode}):
-            started = time.perf_counter()
-            with tracer.span("query.resolve"):
+        if slow_on and not tracer.enabled:
+            tracer = STOPWATCH
+        if self._lineage.enabled:
+            self._lineage.begin(query.mode)
+        with tracer.span("query.execute", attributes={"mode": query.mode}) as span:
+            with tracer.span("query.resolve") as resolve_span:
                 self.resolve(query)
-            resolved = time.perf_counter()
             with tracer.span("query.collect_contributions") as collect_span:
-                groups = self.collect_contributions(query)
+                groups = (collect or self.collect_contributions)(query)
                 collect_span.set("groups", len(groups))
-            collected = time.perf_counter()
             with tracer.span("query.finalize") as finalize_span:
                 table = self.finalize(query, groups)
                 finalize_span.set("rows", len(table))
-            finished = time.perf_counter()
-        metrics.counter("query.executed", {"mode": query.mode}).inc()
+        if metrics.enabled:
+            metrics.counter("query.executed", {"mode": query.mode}).inc()
         if slow_on:
             slow.record(
                 mode=query.mode,
-                seconds=finished - started,
+                seconds=span.duration_s,
                 phases={
-                    "resolve": resolved - started,
-                    "collect_contributions": collected - resolved,
-                    "finalize": finished - collected,
+                    "resolve": resolve_span.duration_s,
+                    "collect_contributions": collect_span.duration_s,
+                    "finalize": finalize_span.duration_s,
                 },
                 query=query,
             )

@@ -10,6 +10,8 @@ dimension and level against the schema with precise error messages.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
+
 from repro.core.chronology import Interval, MONTH, QUARTER, YEAR, ym
 from repro.core.multiversion import MultiVersionFactTable
 from repro.core.quality import rank_modes
@@ -208,24 +210,20 @@ class MVQLSession:
             self._metrics if self._metrics is not None else _obs.current_metrics()
         )
         slow = self.slow_log
-        if slow is not None and slow.enabled:
-            # Publish the statement text thread-locally so the engine's
-            # slow-query record names the MVQL that caused it.
-            with slow.statement(text):
-                return self._execute_instrumented(text, tracer, metrics)
-        return self._execute_instrumented(text, tracer, metrics)
-
-    def _execute_instrumented(self, text: str, tracer, metrics):
-        if not (tracer.enabled or metrics.enabled):
-            return self._dispatch(parse(text))
-        with tracer.span(
+        # Publish the statement text context-locally so the engine's
+        # slow-query record names the MVQL that caused it.
+        publish = (
+            slow.statement(text) if slow is not None and slow.enabled else nullcontext()
+        )
+        with publish, tracer.span(
             "mvql.statement", attributes={"statement": " ".join(text.split())}
         ) as span:
             statement = parse(text)
             kind = type(statement).__name__
             span.set("kind", kind)
             result = self._dispatch(statement)
-        metrics.counter("mvql.statements", {"kind": kind}).inc()
+        if metrics.enabled:
+            metrics.counter("mvql.statements", {"kind": kind}).inc()
         return result
 
     def explain_cell(self, group, measure: str | None = None, *, mode=None):
@@ -243,7 +241,7 @@ class MVQLSession:
         return self.lineage.explain_cell(group, measure, mode=mode)
 
     def _dispatch(self, statement):
-        """Execute one parsed statement (the uninstrumented core)."""
+        """Execute one parsed statement inside its ``mvql.statement`` span."""
         if isinstance(statement, SelectStatement):
             return self.engine.execute(self.compile_select(statement))
         if isinstance(statement, RankModesStatement):

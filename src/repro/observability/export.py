@@ -48,7 +48,7 @@ from collections import deque
 from pathlib import Path
 from typing import Any, Iterable, Mapping
 
-from .tracing import format_traceparent, parse_traceparent
+from .tracing import SpanCursor, format_traceparent, parse_traceparent
 
 __all__ = [
     "SPAN_KIND_INTERNAL",
@@ -518,31 +518,19 @@ class PushExporter:
 class SpanPusher(PushExporter):
     """Pushes each tick's *new* finished spans as one OTLP-JSON document.
 
-    The pusher remembers how many spans it has shipped; a tick with no
-    new spans pushes nothing.  ``tracer.clear()`` resets the tracer's
-    list, so the cursor clamps to it rather than skipping ahead.
-    """
+    A :class:`~repro.observability.tracing.SpanCursor` remembers what
+    was shipped: a tick with no new spans pushes nothing, and a
+    :meth:`flush` racing the flusher thread never ships a span twice."""
 
     def __init__(self, tracer: Any, sink: Any, **kwargs: Any) -> None:
         kwargs.setdefault("name", "otlp")
         super().__init__(sink, **kwargs)
         self.tracer = tracer
-        self._seen = 0
-        self._anchor: int | None = None
+        self._cursor = SpanCursor(tracer)
 
     def collect(self) -> None:
-        spans = self.tracer.spans
-        if self._seen and (
-            len(spans) < self._seen
-            # A truncation to the *same* length would fool a bare count
-            # cursor; the last shipped span's id anchors the position.
-            or spans[self._seen - 1].span_id != self._anchor
-        ):
-            self._seen = 0  # the tracer was cleared under us
-        new = spans[self._seen:]
-        self._seen = len(spans)
+        new = self._cursor.take()
         if new:
-            self._anchor = new[-1].span_id
             self.submit(
                 spans_to_otlp(new, origin_ns=self.tracer.origin_ns)
             )

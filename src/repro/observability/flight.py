@@ -4,8 +4,8 @@ When a warehouse misbehaves the operator's first question is "what just
 happened?" — and by then the interesting spans have scrolled past any
 live view.  :class:`FlightRecorder` keeps the recent past on hand in
 bounded rings: finished spans pulled from a
-:class:`~repro.observability.tracing.Tracer` (the same span-id-anchored
-cursor :class:`~repro.observability.export.SpanPusher` uses, so a
+:class:`~repro.observability.tracing.Tracer` through a
+:class:`~repro.observability.tracing.SpanCursor` (so a
 ``tracer.clear()`` never double-counts), audit events captured off an
 :class:`~repro.observability.events.EventBus` subscription, and — read
 fresh at dump time, since they already live in rings of their own — the
@@ -38,6 +38,7 @@ from pathlib import Path
 from typing import Any, Callable
 
 from .export import spans_to_otlp
+from .tracing import SpanCursor
 
 __all__ = ["FlightRecorder", "read_manifest"]
 
@@ -68,8 +69,7 @@ class FlightRecorder:
         self._clock = clock
         self._spans: deque[Any] = deque(maxlen=capacity)
         self._audit: deque[dict[str, Any]] = deque(maxlen=capacity)
-        self._seen = 0
-        self._anchor: int | None = None
+        self._cursor = SpanCursor(tracer) if tracer is not None else None
         self._subscription = (
             bus.subscribe("flight-recorder", topics=["audit"], max_queue=capacity)
             if bus is not None
@@ -81,24 +81,12 @@ class FlightRecorder:
     def collect(self) -> int:
         """Pull new finished spans and queued audit events into the rings;
         returns how many new spans arrived."""
-        new_spans = 0
-        if self.tracer is not None:
-            spans = self.tracer.spans
-            if self._seen and (
-                len(spans) < self._seen
-                or spans[self._seen - 1].span_id != self._anchor
-            ):
-                self._seen = 0  # the tracer was cleared under us
-            fresh = spans[self._seen:]
-            self._seen = len(spans)
-            if fresh:
-                self._anchor = fresh[-1].span_id
-                self._spans.extend(fresh)
-                new_spans = len(fresh)
+        fresh = self._cursor.take() if self._cursor is not None else ()
+        self._spans.extend(fresh)
         if self._subscription is not None:
             for _topic, event in self._subscription.drain():
                 self.record_audit(event)
-        return new_spans
+        return len(fresh)
 
     def record_audit(self, entry: dict[str, Any]) -> None:
         """Append one audit entry directly (for callers without a bus)."""

@@ -4,11 +4,12 @@ Three layers that turn the PR-3 telemetry into *decisions*:
 
 * :class:`SlowQueryLog` — a ring buffer of queries that exceeded a
   latency threshold, each with its per-phase breakdown (resolve /
-  collect / finalize, or collect / merge / finalize when sharded), the
-  originating MVQL statement when one is known, and a short stable
-  digest so repeated occurrences of the same statement group together.
-  The engine records into it from the already-instrumented execute path,
-  so a disabled or absent log costs one boolean test per query.
+  collect_contributions / finalize, sharded or not), the originating
+  MVQL statement when one is known, and a short stable digest so
+  repeated occurrences of the same statement group together.  The
+  engine's one execution pipeline records into it, reading the total
+  and every phase off its spans, so a disabled or absent log costs one
+  boolean test per query.
 
 * :class:`AlertRule` — a declarative threshold over one metric series of
   a :class:`~repro.observability.metrics.MetricsRegistry` snapshot:

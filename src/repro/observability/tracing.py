@@ -42,6 +42,8 @@ __all__ = [
     "Tracer",
     "NullTracer",
     "NULL_TRACER",
+    "STOPWATCH",
+    "SpanCursor",
     "read_jsonl",
     "format_traceparent",
     "parse_traceparent",
@@ -444,3 +446,57 @@ class NullTracer:
 
 
 NULL_TRACER = NullTracer()
+
+
+class _Stopwatch:
+    """Times spans and nothing else: no ids, no nesting, no recording.
+
+    The slow-query log's clock when tracing is off.  Stateless, so one
+    shared :data:`STOPWATCH` serves every caller; a private
+    :class:`Tracer` per query would leave a context variable behind.
+    """
+
+    enabled = False
+
+    def span(self, name: str, **_kwargs: Any) -> Span:
+        return Span(self, name, 0, None, None)  # type: ignore[arg-type]
+
+    def _push(self, span: Span) -> None:
+        return None
+
+    _pop = _record = _push
+
+
+STOPWATCH = _Stopwatch()
+
+
+class SpanCursor:
+    """A read position in one tracer's finished spans.
+
+    :meth:`take` returns the spans finished since its last call.  The
+    position is anchored on the last taken span's id, so a
+    ``tracer.clear()`` — which can leave the list as long as it was —
+    restarts the cursor instead of skipping or repeating spans.  ``take``
+    advances under a lock: concurrent callers never get the same span.
+    """
+
+    def __init__(self, tracer: Any) -> None:
+        self.tracer = tracer
+        self._lock = threading.Lock()
+        self._seen = 0
+        self._anchor: int | None = None
+
+    def take(self) -> tuple[Span, ...]:
+        """The spans finished since the previous call, in completion order."""
+        with self._lock:
+            spans = self.tracer.spans
+            if self._seen and (
+                len(spans) < self._seen
+                or spans[self._seen - 1].span_id != self._anchor
+            ):
+                self._seen = 0  # the tracer was cleared under us
+            fresh = spans[self._seen:]
+            self._seen = len(spans)
+            if fresh:
+                self._anchor = fresh[-1].span_id
+            return fresh

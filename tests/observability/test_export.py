@@ -2,6 +2,7 @@
 
 import json
 import re
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -392,6 +393,49 @@ class TestPushExporters:
             for s in _otlp_spans(doc)
         ]
         assert names == ["a", "b"]
+
+    def test_concurrent_flushes_never_ship_a_span_twice(self, tmp_path):
+        from repro.observability import FileSink, SpanPusher, read_push_file
+
+        tracer = Tracer()
+        with tracer.span("once"):
+            pass
+
+        class RendezvousSpans(tuple):
+            """Slicing off the new spans waits for a second reader, so two
+            collects that both read the cursor position take one slice."""
+
+            barrier = threading.Barrier(2, timeout=0.5)
+
+            def __getitem__(self, index):
+                if isinstance(index, slice):
+                    try:
+                        self.barrier.wait()
+                    except threading.BrokenBarrierError:
+                        pass  # the other collect is held on the cursor lock
+                return tuple.__getitem__(self, index)
+
+        class RendezvousTracer:
+            origin_ns = tracer.origin_ns
+
+            @property
+            def spans(self):
+                return RendezvousSpans(tracer.spans)
+
+        sink = FileSink(tmp_path / "otlp.jsonl")
+        pusher = SpanPusher(RendezvousTracer(), sink)
+        flushers = [threading.Thread(target=pusher.flush) for _ in range(2)]
+        for thread in flushers:
+            thread.start()
+        for thread in flushers:
+            thread.join(timeout=5.0)
+            assert not thread.is_alive()
+        names = [
+            s["name"]
+            for doc in read_push_file(sink.path)
+            for s in _otlp_spans(doc)
+        ]
+        assert names == ["once"]
 
     def test_metrics_pusher_context_manager(self, tmp_path):
         from repro.observability import (

@@ -4,6 +4,7 @@ import threading
 
 import pytest
 
+from repro.concurrency.sharding import ShardedExecutor
 from repro.core import Interval, LevelGroup, Query, QueryEngine, TimeGroup, YEAR, ym
 from repro.mvql import MVQLSession
 from repro.observability import (
@@ -11,6 +12,7 @@ from repro.observability import (
     DEFAULT_RULES,
     MetricsRegistry,
     SlowQueryLog,
+    Tracer,
     evaluate_rules,
     histogram_quantile,
     run_doctor,
@@ -92,6 +94,31 @@ class TestSlowQueryLog:
         phases = dict(record.phases)
         assert set(phases) == {"resolve", "collect_contributions", "finalize"}
         assert record.seconds >= sum(phases.values()) * 0.5
+
+    def test_sharded_records_use_the_engine_phase_names(self, mvft):
+        log = SlowQueryLog(threshold=0.0)
+        ShardedExecutor(mvft, shards=4, slow_log=log).execute(Q1)
+        (record,) = log.records()
+        assert set(dict(record.phases)) == {
+            "resolve",
+            "collect_contributions",
+            "finalize",
+        }
+
+    @pytest.mark.parametrize("shards", [None, 4])
+    def test_recorded_times_are_the_span_durations(self, mvft, shards):
+        log = SlowQueryLog(threshold=0.0)
+        tracer = Tracer()
+        if shards is None:
+            QueryEngine(mvft, tracer=tracer, slow_log=log).execute(Q1)
+        else:
+            ShardedExecutor(
+                mvft, shards=shards, tracer=tracer, slow_log=log
+            ).execute(Q1)
+        (record,) = log.records()
+        assert record.seconds == tracer.find("query.execute")[0].duration_s
+        for phase, seconds in record.phases:
+            assert seconds == tracer.find(f"query.{phase}")[0].duration_s
 
     def test_session_publishes_mvql_text_to_engine_records(self, mvft):
         log = SlowQueryLog(threshold=0.0)

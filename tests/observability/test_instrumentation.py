@@ -73,7 +73,26 @@ class TestShardedExecutor:
         counters = metrics.snapshot()["counters"]
         assert counters["shard.queries"] == 1
         assert counters["shard.shards_run"] == len(collects)
-        assert metrics.snapshot()["histograms"]["shard.merge_seconds"]["count"] == 1
+
+    def test_sharded_read_counts_query_executed(self, mvft, q1):
+        metrics = MetricsRegistry()
+        ShardedExecutor(mvft, shards=4, metrics=metrics).execute(q1)
+        counters = metrics.snapshot()["counters"]
+        assert counters['query.executed{mode="tcm"}'] == 1
+
+    def test_shard_fan_out_nests_in_the_collect_phase(self, mvft, q1):
+        tracer = Tracer()
+        ShardedExecutor(mvft, shards=4, tracer=tracer).execute(q1)
+        root = tracer.find("query.execute")[0]
+        names = [s.name for s in tracer.children(root)]
+        assert names == [
+            "query.resolve",
+            "query.collect_contributions",
+            "query.finalize",
+        ]
+        collect = tracer.find("query.collect_contributions")[0]
+        assert tracer.find("shard.execute")[0].parent_id == collect.span_id
+        assert tracer.find("shard.finalize") == []
 
     def test_instrumented_sharded_result_matches_serial(self, mvft, q1):
         serial = QueryEngine(mvft).execute(q1).to_text()
