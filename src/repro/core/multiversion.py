@@ -32,10 +32,11 @@ from __future__ import annotations
 
 import bisect
 import itertools
+import operator
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Any, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Mapping, NamedTuple, Sequence
 
 from repro.observability import runtime as _obs
 
@@ -80,6 +81,29 @@ class MVFactRow:
         object.__setattr__(self, "coordinates", MappingProxyType(dict(self.coordinates)))
         object.__setattr__(self, "values", MappingProxyType(dict(self.values)))
         object.__setattr__(self, "confidences", MappingProxyType(dict(self.confidences)))
+
+    @classmethod
+    def _from_parts(
+        cls,
+        coordinates: Mapping[str, str],
+        t: Instant,
+        mode: str,
+        values: Mapping[str, float | None],
+        confidences: Mapping[str, ConfidenceFactor],
+        provenance: tuple[str, ...],
+    ) -> "MVFactRow":
+        """A row over parts that are already read-only, without copying
+        them — so rows can share their coordinates, confidences and
+        provenance objects."""
+        row = object.__new__(cls)
+        setattr_ = object.__setattr__
+        setattr_(row, "coordinates", coordinates)
+        setattr_(row, "t", t)
+        setattr_(row, "mode", mode)
+        setattr_(row, "values", values)
+        setattr_(row, "confidences", confidences)
+        setattr_(row, "provenance", provenance)
+        return row
 
     def value(self, measure: str) -> float | None:
         """The (possibly unknown) value of ``measure``."""
@@ -146,24 +170,78 @@ def _inference(kind: str) -> Iterator[Any]:
         metrics.counter("mvft.builds", {"kind": kind}).inc()
 
 
-class _Kernel:
-    """Definitions 11 and 12 for one schema state.  Routes are memoized
-    per (member version, mode, dimension), so repeated facts on a member
-    are cheap."""
+class _Parts:
+    """Intern pools for the fact-independent parts of rows: one read-only
+    coordinates mapping per sorted target key, one confidences mapping per
+    tuple of factors, one provenance tuple per value.  A table and every
+    table derived from it share one pool.  Entries are only ever added,
+    with ``setdefault``, so tables derived from one parent on several
+    threads still receive one object per value."""
 
-    def __init__(self, schema: "TemporalMultidimensionalSchema", basis: _Basis) -> None:
+    def __init__(self, measures: Sequence[str]) -> None:
+        self.measures = tuple(measures)
+        self._coordinates: dict[tuple[tuple[str, str], ...], Mapping[str, str]] = {}
+        self._confidences: dict[tuple[ConfidenceFactor, ...], Mapping[str, ConfidenceFactor]] = {}
+        self._provenance: dict[tuple[str, ...], tuple[str, ...]] = {}
+
+    def coordinates(self, key: tuple[tuple[str, str], ...]) -> Mapping[str, str]:
+        found = self._coordinates.get(key)
+        if found is None:
+            found = self._coordinates.setdefault(key, MappingProxyType(dict(key)))
+        return found
+
+    def confidences(
+        self, factors: tuple[ConfidenceFactor, ...]
+    ) -> Mapping[str, ConfidenceFactor]:
+        found = self._confidences.get(factors)
+        if found is None:
+            found = self._confidences.setdefault(
+                factors, MappingProxyType(dict(zip(self.measures, factors)))
+            )
+        return found
+
+    def provenance(self, entries: tuple[str, ...]) -> tuple[str, ...]:
+        return self._provenance.setdefault(entries, entries)
+
+
+class _Landing(NamedTuple):
+    """One cell a fact on given leaves lands on in one version mode —
+    everything about it that does not depend on the fact's values."""
+
+    key: tuple[tuple[str, str], ...]  # sorted (dimension, leaf) pairs
+    chains: tuple[tuple[Callable[[Any], Any], ...], ...]  # per measure, route by route
+    confidences: Mapping[str, ConfidenceFactor]  # SD ⊗cf each route's factor
+    provenance: tuple[str]  # the conversion steps, for a fact without a source
+
+
+_Contribution = tuple[Mapping[str, ConfidenceFactor], list, tuple[str, ...]]
+
+
+class _Kernel:
+    """Definitions 11 and 12 for one schema state.
+
+    Where a fact lands in a mode, the ⊗cf confidences and provenance text
+    of each landing depend only on the fact's leaves, so they are planned
+    once per (leaves, mode); a fact then only converts its values.  Routes
+    are memoized per (member version, mode, dimension)."""
+
+    def __init__(
+        self, schema: "TemporalMultidimensionalSchema", basis: _Basis, parts: _Parts
+    ) -> None:
         self.schema = schema
         self.dimension_ids = schema.dimension_ids
         self.measures = schema.measure_names
         self.aggregates = [schema.measure(m).aggregate for m in self.measures]
         self.targets = basis.targets
         self.max_hops = basis.build_args["max_hops"]
+        self.parts = parts
         self.route_cache: dict[tuple[str, str, str], list[Route]] = {}
+        self.all_sd = parts.confidences((SD,) * len(self.measures))
+        self.source_data = parts.provenance(("source data",))
 
-    def route(self, fact: FactRow, label: str) -> UnmappedFact | list[tuple]:
-        """Route one fact into one version mode: for every cell it lands
-        on, the converted values, their confidences (``⊗cf`` composed hop
-        by hop) and the provenance entry."""
+    def plan(self, fact: FactRow, label: str) -> tuple[_Landing, ...] | str:
+        """Where any fact on ``fact``'s leaves lands in mode ``label``, or
+        the first dimension along which no route leaves its leaf."""
         measures, aggregator = self.measures, self.schema.cf_aggregator
         routes_per_dim: list[list[Route]] = []
         for did in self.dimension_ids:
@@ -176,18 +254,15 @@ class _Kernel:
                 )
                 self.route_cache[(source, label, did)] = routes
             if not routes:
-                return UnmappedFact(fact=fact, mode=label, dimension=did, source=source)
+                return did
             routes_per_dim.append(routes)
-        landed = []
+        landings = []
         for combo in itertools.product(*routes_per_dim):
-            values: list[float | None] = []
-            confidences: list[ConfidenceFactor] = []
+            confidences = []
             for m in measures:
-                value, confidence = fact.value(m), SD
+                confidence = SD
                 for route in combo:
-                    value = route.convert(m, value)
                     confidence = aggregator.combine(confidence, route.confidence(m))
-                values.append(value)
                 confidences.append(confidence)
             steps = [
                 f"{route.source} -> {route.target} via "
@@ -196,11 +271,17 @@ class _Kernel:
                 if route.hops
             ]
             entry = "; ".join(steps) if steps else "valid in version (source data)"
-            if fact.source is not None:
-                entry += f" [from {fact.source}]"
             targets = zip(self.dimension_ids, (route.target for route in combo))
-            landed.append(((tuple(sorted(targets)), fact.t), values, confidences, entry))
-        return landed
+            landings.append(_Landing(
+                tuple(sorted(targets)),
+                tuple(
+                    tuple(route.maps[m].function.apply for route in combo)
+                    for m in measures
+                ),
+                self.parts.confidences(tuple(confidences)),
+                self.parts.provenance((entry,)),
+            ))
+        return tuple(landings)
 
     def fold(
         self,
@@ -212,61 +293,81 @@ class _Kernel:
         measure's ``⊕`` and ``⊗cf``, resuming the cells in ``existing``
         from their folded values (sound for :data:`FOLDABLE_AGGREGATES`).
         Returns the touched cells and the facts with no route."""
-        measures = self.measures
-        cells: dict[CellKey, tuple[list[list], list[list], list[str]]] = {}
+        measures, parts = self.measures, self.parts
+        leaves_of = operator.itemgetter(*self.dimension_ids)
+        plans: dict[Any, tuple[_Landing, ...] | str] = {}
+        cells: dict[CellKey, list[_Contribution]] = {}
         unmapped: list[UnmappedFact] = []
         for fact in facts:
-            landed = self.route(fact, label)
-            if isinstance(landed, UnmappedFact):
-                unmapped.append(landed)
+            leaves = leaves_of(fact.coordinates)
+            plan = plans.get(leaves)
+            if plan is None:
+                plan = plans[leaves] = self.plan(fact, label)
+            if isinstance(plan, str):
+                unmapped.append(UnmappedFact(
+                    fact=fact, mode=label, dimension=plan, source=fact.coordinate(plan),
+                ))
                 continue
-            for key, values, confidences, entry in landed:
-                cell = cells.get(key)
+            values, source = fact.values, fact.source
+            for landing in plan:
+                converted = []
+                for m, chain in zip(measures, landing.chains):
+                    value = values.get(m)
+                    for apply in chain:
+                        value = apply(value)
+                    converted.append(value)
+                provenance = landing.provenance
+                if source is not None:
+                    provenance = (f"{provenance[0]} [from {source}]",)
+                contribution = (landing.confidences, converted, provenance)
+                cell = cells.get((landing.key, fact.t))
                 if cell is None:
-                    row = existing.get(key)
-                    cell = cells[key] = (
-                        ([[] for _ in measures], [[] for _ in measures], [])
-                        if row is None
-                        else (
-                            [[row.values[m]] for m in measures],
-                            [[row.confidences[m]] for m in measures],
-                            list(row.provenance),
-                        )
-                    )
-                for acc, value in zip(cell[0], values):
-                    acc.append(value)
-                for acc, confidence in zip(cell[1], confidences):
-                    acc.append(confidence)
-                cell[2].append(entry)
+                    cells[(landing.key, fact.t)] = [contribution]
+                else:
+                    cell.append(contribution)
         aggregator = self.schema.cf_aggregator
-        return {
-            key: MVFactRow(
-                coordinates=dict(key[0]),
-                t=key[1],
-                mode=label,
-                values={
-                    m: agg.combine_all(vs)
-                    for m, agg, vs in zip(measures, self.aggregates, values)
-                },
-                confidences={
-                    m: aggregator.combine_all(cfs)
-                    for m, cfs in zip(measures, confidences)
-                },
-                provenance=tuple(provenance),
+        rows: dict[CellKey, MVFactRow] = {}
+        for key, contributions in cells.items():
+            row = existing.get(key)
+            if row is not None:
+                contributions.insert(0, (
+                    row.confidences, [row.values[m] for m in measures], row.provenance,
+                ))
+            if len(contributions) == 1:
+                # ⊗cf over a single factor is that factor.
+                confidences, _, provenance = contributions[0]
+            else:
+                confidences = parts.confidences(tuple(
+                    aggregator.combine_all([c[0][m] for c in contributions])
+                    for m in measures
+                ))
+                provenance = parts.provenance(
+                    tuple(entry for c in contributions for entry in c[2])
+                )
+            columns = zip(*(c[1] for c in contributions))
+            rows[key] = MVFactRow._from_parts(
+                parts.coordinates(key[0]),
+                key[1],
+                label,
+                MappingProxyType({
+                    m: agg.combine_all(column)
+                    for m, agg, column in zip(measures, self.aggregates, columns)
+                }),
+                confidences,
+                provenance,
             )
-            for key, (values, confidences, provenance) in cells.items()
-        }, unmapped
+        return rows, unmapped
 
     def tcm_row(self, fact: FactRow) -> MVFactRow:
         """``f'|tcm = f × {sd}^m``: the fact itself, fully confident."""
-        origin = "" if fact.source is None else f" [from {fact.source}]"
-        return MVFactRow(
-            coordinates=fact.coordinates,
-            t=fact.t,
-            mode=TCM_LABEL,
-            values={m: fact.value(m) for m in self.measures},
-            confidences={m: SD for m in self.measures},
-            provenance=(f"source data{origin}",),
+        return MVFactRow._from_parts(
+            fact.coordinates,
+            fact.t,
+            TCM_LABEL,
+            MappingProxyType({m: fact.value(m) for m in self.measures}),
+            self.all_sd,
+            self.source_data if fact.source is None
+            else (f"source data [from {fact.source}]",),
         )
 
 
@@ -310,6 +411,7 @@ class MultiVersionFactTable:
         index: dict[str, dict[CellKey, MVFactRow]],
         unmapped: dict[str, tuple[UnmappedFact, ...]],
         basis: _Basis,
+        parts: _Parts,
     ) -> None:
         self._schema = schema
         self._modes = modes
@@ -317,6 +419,7 @@ class MultiVersionFactTable:
         self._index = index
         self._unmapped = unmapped
         self._basis = basis
+        self._parts = parts
         # The schema state this table was inferred from — the *structure
         # version* component of versioned result-cache keys.  The table is
         # immutable, so the stamp describes its contents forever;
@@ -363,7 +466,7 @@ class MultiVersionFactTable:
                 schema, modes, {label: () for label in labels},
                 {label: {} for label in labels},
                 {label: () for label in labels if label != TCM_LABEL},
-                basis, facts, span,
+                basis, _Parts(schema.measure_names), facts, span,
             )
 
     def refreshed(self) -> "MultiVersionFactTable":
@@ -395,7 +498,8 @@ class MultiVersionFactTable:
             with _inference("derived") as span:
                 return self._fold(
                     schema, self._modes, self._rows_by_mode, self._index, self._unmapped,
-                    replace(basis, token=token, facts=facts), facts[folded:], span,
+                    replace(basis, token=token, facts=facts), self._parts,
+                    facts[folded:], span,
                 )
         return self.build(schema, **basis.build_args)
 
@@ -408,12 +512,13 @@ class MultiVersionFactTable:
         index: Mapping[str, dict[CellKey, MVFactRow]],
         unmapped: Mapping[str, tuple[UnmappedFact, ...]],
         basis: _Basis,
+        parts: _Parts,
         facts: Sequence[FactRow],
         span: Any,
     ) -> "MultiVersionFactTable":
         """A new table: these slices with ``facts`` folded into every mode.
         Untouched slices and index maps are shared, never copied."""
-        kernel = _Kernel(schema, basis)
+        kernel = _Kernel(schema, basis, parts)
         rows_by_mode, index, unmapped = dict(rows_by_mode), dict(index), dict(unmapped)
         for label, rows in rows_by_mode.items():
             if label == TCM_LABEL:
@@ -429,7 +534,7 @@ class MultiVersionFactTable:
             if cells:
                 rows_by_mode[label] = rows
                 index[label] = {**index[label], **cells}
-        table = cls(schema, modes, rows_by_mode, index, unmapped, basis)
+        table = cls(schema, modes, rows_by_mode, index, unmapped, basis, parts)
         span.set("facts", len(facts)).set("rows", len(table))
         span.set("unmapped", sum(len(lost) for lost in unmapped.values()))
         return table

@@ -87,13 +87,9 @@ class DeltaMultiVersionStore:
                 for did in self.schema.dimension_ids
             ):
                 out.append(
-                    MVFactRow(
-                        coordinates=dict(base.coordinates),
-                        t=base.t,
-                        mode=mode_label,
-                        values=dict(base.values),
-                        confidences=dict(base.confidences),
-                        provenance=base.provenance,
+                    MVFactRow._from_parts(
+                        base.coordinates, base.t, mode_label,
+                        base.values, base.confidences, base.provenance,
                     )
                 )
         out.extend(delta.values())

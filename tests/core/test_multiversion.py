@@ -1,12 +1,25 @@
 """Unit tests for the MultiVersion fact table inference (Definition 11)."""
 
+import hashlib
+import sys
+import threading
+
 import pytest
 
 from repro.core import (
+    AM,
     AVG,
+    EM,
+    MAX,
+    SD,
+    CallableMapping,
     EvolutionManager,
+    IdentityMapping,
     Interval,
+    LinearMapping,
+    MappingRelationship,
     Measure,
+    MeasureMap,
     MemberVersion,
     QueryError,
     SUM,
@@ -15,10 +28,11 @@ from repro.core import (
     TemporalRelationship,
 )
 from repro.core.chronology import ym
-from repro.core.multiversion import MultiVersionFactTable
+from repro.core.multiversion import MVFactRow, MultiVersionFactTable
 from repro.observability import MetricsRegistry, instrumented
 from repro.robustness import TransactionManager
 from repro.workloads.case_study import ORG, build_case_study, fact_instant
+from repro.workloads.generator import WorkloadConfig, generate_workload
 
 
 class TestTcmSlice:
@@ -347,3 +361,245 @@ class TestRefreshed:
         counters = metrics.snapshot()["counters"]
         assert counters['mvft.builds{kind="full"}'] == 1
         assert counters['mvft.builds{kind="derived"}'] == 1
+
+
+_FIXTURE_FACTS = (
+    ({"org": "a", "product": "p1"}, 5, {"amount": 5, "peak": 3}, None),
+    ({"org": "a", "product": "p2"}, 5, {"amount": 7.5, "peak": None}, "erp#1"),
+    ({"org": "x", "product": "p1"}, 5, {"amount": 10, "peak": 4.0}, None),
+    ({"org": "y", "product": "p1"}, 5, {"amount": -0.0, "peak": 9}, None),
+    ({"org": "z", "product": "p1"}, 5, {"amount": 1.0, "peak": 1.0}, None),
+    ({"org": "b", "product": "p3"}, 15, {"amount": 4, "peak": 2.5}, None),
+    ({"org": "c", "product": "p4"}, 25, {"amount": 8.0, "peak": 8}, "erp#2"),
+    ({"org": "m", "product": "p1"}, 25, {"amount": 6, "peak": 6}, None),
+)
+
+
+def golden_fixture(n_facts=len(_FIXTURE_FACTS)):
+    """Two dimensions and three structure versions whose routes cover every
+    mapping-function kind: ``a`` is transformed into ``b`` (linear forward,
+    callable backward) and ``b`` into ``c`` (identity forward, linear
+    backward, so ``c -> a`` composes a callable with a linear map);
+    ``x`` and ``y`` merge into ``m``; ``z`` is deleted without a mapping;
+    ``p2`` splits into ``p3`` / ``p4``.  ``peak`` has no backward map from
+    ``b`` (unknown).  Facts mix ints, floats, ``-0.0``, ``None`` and ETL
+    sources; only the first ``n_facts`` are loaded."""
+    org = TemporalDimension("org")
+    org.add_member(MemberVersion("div", "Division", Interval(0), level="Division"))
+    for mvid, valid in (
+        ("a", Interval(0, 9)), ("b", Interval(10, 19)), ("c", Interval(20)),
+        ("x", Interval(0, 9)), ("y", Interval(0, 9)), ("m", Interval(10)),
+        ("z", Interval(0, 9)),
+    ):
+        org.add_member(MemberVersion(mvid, mvid.upper(), valid, level="Department"))
+        org.add_relationship(TemporalRelationship(mvid, "div", valid))
+    product = TemporalDimension("product")
+    product.add_member(MemberVersion("all", "All", Interval(0), level="All"))
+    for mvid, valid in (
+        ("p1", Interval(0)), ("p2", Interval(0, 9)),
+        ("p3", Interval(10)), ("p4", Interval(10)),
+    ):
+        product.add_member(MemberVersion(mvid, mvid.upper(), valid, level="Item"))
+        product.add_relationship(TemporalRelationship(mvid, "all", valid))
+    schema = TemporalMultidimensionalSchema(
+        [org, product], [Measure("amount", SUM), Measure("peak", MAX)]
+    )
+    both = ("amount", "peak")
+    identity = {m: MeasureMap(IdentityMapping(), EM) for m in both}
+    schema.add_mapping(MappingRelationship(
+        "a", "b",
+        forward={m: MeasureMap(LinearMapping(2.0), AM) for m in both},
+        reverse={"amount": MeasureMap(CallableMapping(lambda v: v - 1, "x -> x-1"), EM)},
+    ))
+    schema.add_mapping(MappingRelationship(
+        "b", "c", forward=identity,
+        reverse={m: MeasureMap(LinearMapping(0.5), AM) for m in both},
+    ))
+    schema.add_mapping(MappingRelationship("x", "m", forward=identity, reverse=identity))
+    schema.add_mapping(MappingRelationship("y", "m", forward=identity, reverse=identity))
+    for target, share in (("p3", 0.3), ("p4", 0.7)):
+        schema.add_mapping(MappingRelationship(
+            "p2", target,
+            forward={m: MeasureMap(LinearMapping(share), AM) for m in both},
+            reverse=identity,
+        ))
+    for coordinates, t, values, source in _FIXTURE_FACTS[:n_facts]:
+        schema.add_fact(coordinates, t, values, source=source)
+    return schema
+
+
+def _digest(table):
+    """sha256 over every mode's rows in order, then the unmapped facts;
+    values enter as ``repr`` so ``5`` and ``5.0`` differ."""
+    digest = hashlib.sha256()
+    for label in table.modes.labels:
+        for row in table.slice(label):
+            digest.update(repr((
+                tuple(sorted(row.coordinates.items())), row.t, row.mode,
+                tuple((m, repr(v)) for m, v in row.values.items()),
+                tuple((m, c.symbol) for m, c in row.confidences.items()),
+                row.provenance,
+            )).encode())
+    for lost in table.unmapped:
+        digest.update(repr((
+            lost.mode, lost.dimension, lost.source,
+            tuple(sorted(lost.fact.coordinates.items())), lost.fact.t,
+            tuple((m, repr(v)) for m, v in lost.fact.values.items()),
+            lost.fact.source,
+        )).encode())
+    return digest.hexdigest()
+
+
+def _toy(seed):
+    return generate_workload(WorkloadConfig(seed=seed, n_departments=12)).schema
+
+
+class TestGolden:
+    """Inference output pinned byte for byte to recorded digests, so a
+    rewrite of the kernel must reproduce the rows it replaces."""
+
+    GOLDEN = {
+        "case_study": "57bd83bd437044ee684bb5852184b88389744ee6012b0a338fd541404eee6dfe",
+        "toy_seed7": "65c5a7ec86a7d7547c98f06c957ab52a5d0d0d5534e747a24758e9fd17c1e664",
+        "toy_seed11": "a2598e26711f6d0828ec6ac6a43af3edb168d0b6f0ba528158bf99499d89c62e",
+        "fixture": "97f9c919452daf9b0851e8499fb156ec8077fcdf4c35db6814bbe2f7ba7a15eb",
+    }
+    SCHEMAS = {
+        "case_study": lambda: build_case_study().schema,
+        "toy_seed7": lambda: _toy(7),
+        "toy_seed11": lambda: _toy(11),
+        "fixture": golden_fixture,
+    }
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_build_matches_recorded_digest(self, name):
+        table = MultiVersionFactTable.build(self.SCHEMAS[name]())
+        assert _digest(table) == self.GOLDEN[name]
+
+    def test_fixture_exercises_every_route_kind(self):
+        table = MultiVersionFactTable.build(golden_fixture())
+        provenance = " ".join(p for row in table.rows() for p in row.provenance)
+        for text in ("'x -> 2*x'", "'x -> x-1'", "'x -> ?'", ") o (", "'x -> x'",
+                     "valid in version", "[from erp#1]"):
+            assert text in provenance
+        assert any(len(row.provenance) == 2 for row in table.rows())
+        assert [lost.source for lost in table.unmapped] == ["z", "z"]
+        assert repr(table.lookup({"org": "a", "product": "p1"}, 5, "V1").value(
+            "amount")) == "5.0"
+
+    @pytest.mark.parametrize("prefix", [0, 3, 6])
+    def test_derived_fixture_matches_recorded_digest(self, prefix):
+        schema = golden_fixture(prefix)
+        table = MultiVersionFactTable.build(schema)
+        for coordinates, t, values, source in _FIXTURE_FACTS[prefix:]:
+            schema.add_fact(coordinates, t, values, source=source)
+        with instrumented(metrics=MetricsRegistry()) as (_, metrics):
+            derived = table.refreshed()
+        assert metrics.snapshot()["counters"] == {'mvft.builds{kind="derived"}': 1}
+        assert _digest(derived) == self.GOLDEN["fixture"]
+
+
+class TestSharedRowParts:
+    """Kernel-built rows share their read-only coordinates, confidences
+    and provenance objects; only the values mapping is per row."""
+
+    @staticmethod
+    def _shared_per_leaf(table):
+        for mode in table.modes.version_modes:
+            by_leaf = {}
+            for row in table.slice(mode.label):
+                by_leaf.setdefault(tuple(sorted(row.coordinates.items())), set()).add(
+                    id(row.coordinates)
+                )
+            assert all(len(ids) == 1 for ids in by_leaf.values()), mode.label
+            assert any(
+                len([r for r in table.slice(mode.label)
+                     if tuple(sorted(r.coordinates.items())) == leaf]) > 1
+                for leaf in by_leaf
+            )
+
+    @staticmethod
+    def _all_sd_confidences(table):
+        return {
+            id(row.confidences) for row in table.rows()
+            if all(c is SD for c in row.confidences.values())
+        }
+
+    def test_rows_of_a_mode_on_one_leaf_share_coordinates(self):
+        self._shared_per_leaf(MultiVersionFactTable.build(_toy(7)))
+
+    def test_all_sd_rows_share_one_confidences_object(self):
+        table = MultiVersionFactTable.build(_toy(7))
+        assert len(self._all_sd_confidences(table)) == 1
+        assert len({id(r.values) for r in table.rows()}) == len(table)
+
+    def test_derived_rows_share_with_the_parent(self):
+        study = build_case_study()
+        table = MultiVersionFactTable.build(study.schema)
+        study.schema.add_fact({ORG: "brian"}, fact_instant(2001), amount=7.0)
+        study.schema.add_fact({ORG: "smith"}, fact_instant(2003), amount=2.0)
+        derived = table.refreshed()
+        assert len(derived) > len(table)
+        self._shared_per_leaf(derived)
+        assert self._all_sd_confidences(derived) == self._all_sd_confidences(table)
+        assert len(self._all_sd_confidences(derived)) == 1
+
+    def test_row_parts_are_read_only(self, mvft):
+        row = mvft.lookup({ORG: "jones"}, fact_instant(2003), "V2")
+        with pytest.raises(TypeError):
+            row.coordinates[ORG] = "x"
+        with pytest.raises(TypeError):
+            row.values["amount"] = 0.0
+        with pytest.raises(TypeError):
+            row.confidences["amount"] = SD
+        assert isinstance(row.provenance, tuple)
+
+    def test_public_constructor_copies_its_arguments(self):
+        coordinates, values, confidences = {ORG: "bill"}, {"amount": 1.0}, {"amount": SD}
+        row = MVFactRow(
+            coordinates=coordinates, t=5, mode="V1",
+            values=values, confidences=confidences,
+        )
+        coordinates[ORG], values["amount"], confidences["amount"] = "x", 2.0, EM
+        assert dict(row.coordinates) == {ORG: "bill"}
+        assert row.value("amount") == 1.0 and row.confidence("amount") is SD
+
+    def test_concurrent_derivations_share_one_object_per_part(self):
+        """Tables derived from one parent on several threads share its
+        pool: each is exact, and equal parts are still one object."""
+        schema = _toy(7)
+        table = MultiVersionFactTable.build(schema)
+        for fact in list(schema.facts)[::3]:
+            schema.add_fact(fact.coordinates, fact.t, dict(fact.values))
+        expected = _digest(MultiVersionFactTable.build(schema))
+        derived, errors = [], []
+        barrier = threading.Barrier(4, timeout=10)
+
+        def derive():
+            try:
+                barrier.wait()
+                derived.append(table.refreshed())
+            except Exception as exc:  # surfaced by the assertion below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=derive) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors and len(derived) == 4
+        assert {_digest(d) for d in derived} == {expected}
+        ids = {}
+        for d in derived:
+            for mode in d.modes.version_modes:
+                for row in d.slice(mode.label):
+                    for part in (row.coordinates, row.confidences):
+                        ids.setdefault(tuple(part.items()), set()).add(id(part))
+                    ids.setdefault(row.provenance, set()).add(id(row.provenance))
+        assert all(len(found) == 1 for found in ids.values())

@@ -142,6 +142,20 @@ class TestDeltaStorage:
             }
             assert full == rebuilt, mode
 
+    def test_reconstructed_rows_share_the_tcm_row_parts(self, mvft):
+        delta = DeltaMultiVersionStore(mvft)
+        tcm = {(tuple(sorted(r.coordinates.items())), r.t): r for r in mvft.slice("tcm")}
+        passed = [
+            (r, tcm[(tuple(sorted(r.coordinates.items())), r.t)])
+            for r in delta.slice("V1") if r.provenance[0].startswith("source data")
+        ]
+        assert passed
+        for row, base in passed:
+            assert row.mode == "V1"
+            assert row.coordinates is base.coordinates
+            assert row.values is base.values
+            assert row.confidences is base.confidences
+
     def test_delta_stores_fewer_cells_than_full(self, mvft):
         delta = DeltaMultiVersionStore(mvft)
         assert delta.total_stored() < delta.full_replication_cells()
