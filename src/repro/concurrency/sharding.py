@@ -1,17 +1,18 @@
 """Shard-parallel multiversion aggregation over immutable snapshots.
 
 Snapshot isolation makes the inputs of a query — the MultiVersion fact
-table rows and the structure versions behind them — immutable, so they
-are trivially shareable across a ``concurrent.futures`` pool.
+table's columns and the structure versions behind them — immutable, so
+they are trivially shareable across a ``concurrent.futures`` pool.
 :class:`ShardedExecutor` is a collect strategy for the one execution
 pipeline of :class:`~repro.core.query.QueryEngine` — resolve, collect,
 finalize, with its spans, counters, lineage and slow log — and changes
 only the collect phase:
 
-1. the mode's row slice is partitioned into contiguous shards;
+1. the positions of the mode's rows are partitioned into contiguous
+   ranges, one per shard;
 2. each worker runs
    :meth:`~repro.core.query.QueryEngine.collect_contributions` over its
-   shard, producing a partial group map;
+   range of the columns, producing a partial group map;
 3. partials are merged in shard order
    (:func:`~repro.core.query.merge_contributions`) — contribution lists
    concatenate, so the merged map is *identical* to the serial one, fold
@@ -30,27 +31,32 @@ only overlaps on multi-core interpreters with free-threading or when the
 per-shard work releases the GIL; the benchmark records the measured
 speedup honestly rather than assuming one (on a single-core container
 the win is bounded to ~1×, on multicore builds it approaches the shard
-count).  Process pools are deliberately not used: fact rows expose
-``MappingProxyType`` views and do not pickle.
+count).  Process pools are not used.  The table's columns would pickle,
+but a worker process also needs the schema they resolve against, and a
+schema's mapping functions may be arbitrary callables (lambdas included)
+that do not; whether shipping the structure per worker could pay off is
+unmeasured.
 """
 
 from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from typing import Sequence
+from typing import Sequence, TypeVar
 
-from repro.core.multiversion import MultiVersionFactTable, MVFactRow
+from repro.core.multiversion import MultiVersionFactTable
 from repro.core.query import Query, QueryEngine, ResultTable, merge_contributions
 
 __all__ = ["ShardedExecutor", "shard_rows"]
 
 
-def shard_rows(
-    rows: Sequence[MVFactRow], shards: int
-) -> list[Sequence[MVFactRow]]:
+_Rows = TypeVar("_Rows", bound=Sequence)
+
+
+def shard_rows(rows: _Rows, shards: int) -> list[_Rows]:
     """Partition ``rows`` into at most ``shards`` contiguous, near-equal
-    slices (empty slices are dropped; order is preserved)."""
+    slices (empty slices are dropped; order is preserved).  A ``range``
+    of row positions partitions into ranges."""
     if shards < 1:
         raise ValueError("need at least one shard")
     n = len(rows)
@@ -58,7 +64,7 @@ def shard_rows(
         return []
     shards = min(shards, n)
     size, extra = divmod(n, shards)
-    out: list[Sequence[MVFactRow]] = []
+    out = []
     start = 0
     for i in range(shards):
         end = start + size + (1 if i < extra else 0)
@@ -129,7 +135,7 @@ class ShardedExecutor:
         the merged lists keep the serial fold order, so the ``⊗cf`` steps
         finalize records match a serial read's."""
         mode, _ = self.engine.resolve(query)
-        rows = self.mvft.slice(mode.label)
+        rows = range(self.mvft.cell_count().get(mode.label, 0))
         parts = shard_rows(rows, self.shards)
         if len(parts) <= 1:
             return self.engine.collect_contributions(query)

@@ -144,7 +144,7 @@ class TestDeltaStorage:
 
     def test_reconstructed_rows_share_the_tcm_row_parts(self, mvft):
         delta = DeltaMultiVersionStore(mvft)
-        tcm = {(tuple(sorted(r.coordinates.items())), r.t): r for r in mvft.slice("tcm")}
+        tcm = {(tuple(sorted(r.coordinates.items())), r.t): r for r in delta.slice("tcm")}
         passed = [
             (r, tcm[(tuple(sorted(r.coordinates.items())), r.t)])
             for r in delta.slice("V1") if r.provenance[0].startswith("source data")
