@@ -37,6 +37,7 @@ Three pieces live here:
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import sys
@@ -138,13 +139,23 @@ def policy_digest(rules: Any) -> str:
     return "rls-" + hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 
 
+# Py_TPFLAGS_HEAPTYPE: set on classes defined in Python, whose instance
+# attributes the walk follows.
+_HEAPTYPE = 1 << 9
+
+
 def estimate_cost(value: Any) -> int:
     """A recursive memory estimate of a cached value, in bytes.
 
-    Walks containers, object ``__dict__``/``__slots__`` and mapping
-    views, counting every reachable object once.  An estimate, not an
-    audit — what matters for eviction is that costs are *consistent*
-    across entries so relative sizes are honest.
+    Walks containers, mapping views and the attributes of instances of
+    Python classes, counting every reachable object once.  Attributes are
+    read through :func:`gc.get_referents`, not ``__dict__``: on Python
+    3.11+ reading ``__dict__`` creates the dict and leaves it on the
+    object, so pricing a value would grow it.  An estimate, not an audit —
+    what matters for eviction is that costs are *consistent* across
+    entries so relative sizes are honest.  The engine and the cube price
+    their results by construction (``nbytes``); this is the default for
+    every other value.
     """
     seen: set[int] = set()
     stack = [value]
@@ -165,13 +176,10 @@ def estimate_cost(value: Any) -> int:
             stack.extend(obj)
         elif isinstance(obj, (str, bytes, int, float, bool, type(None))):
             continue
-        else:
-            obj_dict = getattr(obj, "__dict__", None)
-            if obj_dict is not None:
-                stack.extend(obj_dict.values())
-            for slot in getattr(type(obj), "__slots__", ()):
-                if hasattr(obj, slot):
-                    stack.append(getattr(obj, slot))
+        elif type(obj).__flags__ & _HEAPTYPE:
+            stack.extend(
+                ref for ref in gc.get_referents(obj) if not isinstance(ref, type)
+            )
     return total
 
 

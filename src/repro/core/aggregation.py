@@ -110,13 +110,9 @@ class DataAggregator:
                 break
 
         if expand_dim is None:
-            row = self._mvft.lookup(coords, t, mode.label)
-            if row is None:
-                result: tuple[float | None, ConfidenceFactor | None] = (None, None)
-            else:
-                result = (row.value(measure), row.confidence(measure))
-            memo[key] = result
-            return result
+            cell = self._mvft.measure_at(coords, t, mode.label, measure)
+            memo[key] = (None, None) if cell is None else cell
+            return memo[key]
 
         values: list[float | None] = []
         confidences: list[ConfidenceFactor] = []

@@ -668,6 +668,22 @@ class MultiVersionFactTable:
         at = self._positions(mode_label).get((tuple(sorted(coordinates.items())), t))
         return None if at is None else self._view(mode_label, at)
 
+    def measure_at(
+        self, coordinates: Mapping[str, str], t: Instant, mode_label: str, measure: str
+    ) -> tuple[float | None, ConfidenceFactor] | None:
+        """``(value, confidence)`` of one measure of the cell :meth:`lookup`
+        would return, read off the columns without building a view."""
+        parts = self._parts
+        if measure not in parts.measures:
+            raise QueryError(f"unknown measure {measure!r}")
+        at = self._positions(mode_label).get((tuple(sorted(coordinates.items())), t))
+        if at is None:
+            return None
+        if mode_label == TCM_LABEL:
+            return self._basis.facts[at].value(measure), SD
+        columns, j = self._columns[mode_label], parts.measures.index(measure)
+        return columns.values[j][at], parts.confidences[columns.confidences[at]][j]
+
     def cell_count(self) -> dict[str, int]:
         """Number of materialized cells per mode (storage-redundancy bench)."""
         return {label: self._count(label) for label in self._labels}

@@ -24,7 +24,9 @@ result cell carries the reliability tag the §5.2 front end colours by.
 from __future__ import annotations
 
 import itertools
+import sys
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 from repro.observability import runtime as _obs
@@ -176,7 +178,7 @@ class Query:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ResultCell:
     """One measure value of a result row, with its confidence."""
 
@@ -189,7 +191,7 @@ class ResultCell:
         return f"{self.measure}={self.value}({cf})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ResultRow:
     """One grouped row: the group key labels plus one cell per measure."""
 
@@ -231,6 +233,20 @@ class ResultTable:
 
     def __iter__(self):
         return iter(self.rows)
+
+    @cached_property
+    def nbytes(self) -> int:
+        """The memory this table owns, in bytes: the table, its row list,
+        each row with its group and cells tuples, each cell and its value.
+        Group labels and confidence factors are shared with the structure
+        and not counted.  The result cache prices a table by this."""
+        size = sys.getsizeof
+        total = size(self) + size(self.rows)
+        for row in self.rows:
+            total += size(row) + size(row.group) + size(row.cells)
+            for cell in row.cells:
+                total += size(cell) + size(cell.value)
+        return total
 
     def as_dict(self) -> dict[tuple[object, ...], dict[str, float | None]]:
         """``{group key: {measure: value}}`` — handy for assertions."""
@@ -612,7 +628,7 @@ class QueryEngine:
         table = compute(query)
         if metrics.enabled:
             metrics.counter("query.cache_misses", {"mode": query.mode}).inc()
-        cache.put(key, table)
+        cache.put(key, table, cost=table.nbytes)
         return table
 
     @property

@@ -16,7 +16,9 @@ aggregate lattice (:mod:`repro.olap.aggregates`).
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.core.chronology import Granularity, YEAR
 from repro.core.confidence import ConfidenceFactor
@@ -64,7 +66,7 @@ class LevelAxis:
 Axis = TimeAxis | LevelAxis
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CubeCell:
     """One pivot cell: value plus confidence (may be empty)."""
 
@@ -99,6 +101,18 @@ class CubeView:
         self.cols = cols
         self.time_range = time_range
         self._cells = cells
+
+    @cached_property
+    def nbytes(self) -> int:
+        """The memory this view owns, in bytes: the view, its axis label
+        lists, its cell dict with each key tuple, each cell and its value.
+        Labels and confidence factors are shared and not counted.  The
+        result cache prices a view by this."""
+        size = sys.getsizeof
+        total = size(self) + size(self.rows) + size(self.cols) + size(self._cells)
+        for key, cell in self._cells.items():
+            total += size(key) + size(cell) + size(cell.value)
+        return total
 
     def cell(self, row: object, col: object) -> CubeCell:
         """The cell at (row label, column label)."""
@@ -444,7 +458,7 @@ class Cube:
                         metrics.counter("olap.pivots").inc()
                         metrics.counter("olap.lattice_hits").inc()
                     if view_key is not None:
-                        self.cache.put(view_key, served)
+                        self.cache.put(view_key, served, cost=served.nbytes)
                     return served
             span.set("served_by", "engine")
             if metrics.enabled:
@@ -463,7 +477,7 @@ class Cube:
                 mode, row_axis, col_axis, measure, time_range, filters
             )
             if view_key is not None:
-                self.cache.put(view_key, view)
+                self.cache.put(view_key, view, cost=view.nbytes)
             return view
 
     def explain_cell(
