@@ -327,10 +327,17 @@ class TemporalDimension:
         return mv
 
     def replace_member(self, mv: MemberVersion) -> None:
-        """Overwrite a member version in place (Exclude truncations)."""
+        """Overwrite a member version in place (Exclude truncations); every
+        relationship it is in must still fit its new valid time."""
         if mv.mvid not in self._members:
             raise UnknownMemberVersionError(
                 f"dimension {self.did!r} has no member version {mv.mvid!r}"
+            )
+        for rel in self.relationships_of(mv.mvid):
+            validate_relationship(
+                rel,
+                mv if rel.child == mv.mvid else self.member(rel.child),
+                mv if rel.parent == mv.mvid else self.member(rel.parent),
             )
         self._members[mv.mvid] = mv
         self._token = next_token()
@@ -343,6 +350,7 @@ class TemporalDimension:
             raise InvalidRelationshipError(
                 "replace_relationship must keep the same endpoints"
             )
+        validate_relationship(new, self.member(new.child), self.member(new.parent))
         for i, rel in enumerate(self._relationships):
             if rel == old:
                 self._relationships[i] = new
@@ -409,18 +417,24 @@ class TemporalDimension:
 
     def restrict(self, interval: Interval) -> "TemporalDimension":
         """The Definition 9 restriction: keep only elements valid over the
-        *whole* ``interval``.  Returns a new dimension ``D_i,VSid``."""
+        *whole* ``interval``.  Returns a new dimension ``D_i,VSid``.
+
+        The kept relationships are not validated again: every way into
+        this dimension's members and relationships checks Definition 2,
+        and the kept ones link the same member versions."""
         restricted = TemporalDimension(self.did, self.name)
         for mv in self._members.values():
             if mv.valid_throughout(interval):
                 restricted.add_member(mv)
-        for rel in self._relationships:
-            if (
-                rel.valid_throughout(interval)
-                and rel.child in restricted
-                and rel.parent in restricted
-            ):
-                restricted.add_relationship(rel, check_acyclic=False)
+        restricted._relationships = [
+            rel
+            for rel in self._relationships
+            if rel.valid_throughout(interval)
+            and rel.child in restricted
+            and rel.parent in restricted
+        ]
+        restricted._reindex()
+        restricted._token = next_token()
         return restricted
 
     def critical_instants(self) -> list[Instant]:

@@ -23,6 +23,7 @@ algebra — is what reports the resulting unreliability.
 from __future__ import annotations
 
 import functools
+import itertools
 import operator
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -73,6 +74,11 @@ class AggregateFunction:
             return None
         return self.fold(known)
 
+    def combine_each(self, values: Sequence[float | None]) -> list[float | None]:
+        """``[combine_all((v,)) for v in values]``: each value folded on its
+        own, as a cell with one contribution folds it."""
+        return [self.combine_all((v,)) for v in values]
+
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return self.name
 
@@ -92,6 +98,12 @@ class SumAggregate(AggregateFunction):
         # error across the whole sequence, which a running total cannot resume.
         return functools.reduce(operator.add, values, 0)
 
+    def combine_each(self, values: Sequence[float | None]) -> list[float | None]:
+        # ``0 + v``, as the fold starts from 0: ``-0.0`` becomes ``0.0``.
+        if None in values:
+            return [None if v is None else 0 + v for v in values]
+        return list(map(operator.add, itertools.repeat(0, len(values)), values))
+
 
 class MinAggregate(AggregateFunction):
     """``⊕ = min``."""
@@ -101,6 +113,9 @@ class MinAggregate(AggregateFunction):
     def fold(self, values: Sequence[float]) -> float:
         return min(values)
 
+    def combine_each(self, values: Sequence[float | None]) -> list[float | None]:
+        return list(values)
+
 
 class MaxAggregate(AggregateFunction):
     """``⊕ = max``."""
@@ -109,6 +124,9 @@ class MaxAggregate(AggregateFunction):
 
     def fold(self, values: Sequence[float]) -> float:
         return max(values)
+
+    def combine_each(self, values: Sequence[float | None]) -> list[float | None]:
+        return list(values)
 
 
 class CountAggregate(AggregateFunction):

@@ -37,6 +37,7 @@ measure, confidence id, provenance id) over append-only intern pools.
 from __future__ import annotations
 
 import bisect
+import collections
 import itertools
 import operator
 import threading
@@ -288,22 +289,22 @@ class _Columns:
         )
         return at, at < len(ts) and ts[at] == t and keys[ids[at]] == key
 
-    def spliced(
-        self, cells: Sequence[tuple[int, bool, tuple]], parts: _Parts
-    ) -> "_Columns":
-        """New columns: these with the sorted ``cells`` — ``(at, found,
-        (key id, t, *values, confidence id, provenance id))`` — replacing
-        the row at ``at`` when ``found``, else inserted before it."""
-        if not self:  # a build: the sorted cells are the columns
-            new = list(zip(*[row for _, _, row in cells]))
+    def spliced(self, cells: Sequence[Sequence[Any]], parts: _Parts) -> "_Columns":
+        """New columns: these with ``cells`` — sorted, one list per column
+        in column order — merged in: a cell replaces the row at its
+        ``(key, t)``, or is inserted in order."""
+        if not self:  # a build: the cells are the columns
+            new = cells
         else:
+            keys = parts.keys
             old = (self.keys, self.t, *self.values, self.confidences, self.provenance)
             new = [[] for _ in old]
             done = 0
-            for at, found, row in cells:
-                for column, source, value in zip(new, old, row):
+            for i, (key_id, t) in enumerate(zip(cells[0], cells[1])):
+                at, found = self.find(t, keys[key_id], keys)
+                for column, source, values in zip(new, old, cells):
                     column.extend(source[done:at])
-                    column.append(value)
+                    column.append(values[i])
                 done = at + found
             for column, source in zip(new, old):
                 column.extend(source[done:])
@@ -322,6 +323,17 @@ class _Landing(NamedTuple):
     provenance: int  # id of ``(entry,)``, for a fact without a source
 
 
+class _Group(NamedTuple):
+    """The facts on one tuple of leaves, in fact order, as columns."""
+
+    facts: list[FactRow]
+    positions: list[int]  # in the folded facts
+    t: list[Instant]
+    values: list[list[Any]]  # one list per measure
+    sources: list[str | None] | None  # None when no fact has a source
+    distinct: bool  # whether no two facts share a ``t``
+
+
 _Contribution = tuple[int, Sequence[Any], int]  # confidence id, values, provenance id
 
 
@@ -329,9 +341,12 @@ class _Kernel:
     """Definitions 11 and 12 for one schema state.
 
     Where a fact lands in a mode, the ⊗cf confidences and provenance text
-    of each landing depend only on the fact's leaves, so they are planned
-    once per (leaves, mode); a fact then only converts its values.  Routes
-    are memoized per (member version, mode, dimension)."""
+    of each landing depend only on the fact's leaves, so the facts are
+    grouped by leaves once and each group is planned once per mode; its
+    values then go through each landing's conversions as whole columns.
+    Routes are memoized per (member version, mode, dimension).
+    :attr:`blocked` and :attr:`folded` count the contributions emitted as
+    column blocks and those folded cell by cell."""
 
     def __init__(
         self, schema: "TemporalMultidimensionalSchema", basis: _Basis, parts: _Parts
@@ -344,6 +359,29 @@ class _Kernel:
         self.max_hops = basis.build_args["max_hops"]
         self.parts = parts
         self.route_cache: dict[tuple[str, str, str], list[Route]] = {}
+        self.blocked = self.folded = 0
+
+    def group(self, facts: Sequence[FactRow]) -> list[_Group]:
+        """``facts`` grouped by their leaves, in order of first appearance."""
+        leaves_of = operator.itemgetter(*self.dimension_ids)
+        positions: dict[Any, list[int]] = {}
+        for i, fact in enumerate(facts):
+            positions.setdefault(leaves_of(fact.coordinates), []).append(i)
+        groups = []
+        for at in positions.values():
+            members = [facts[i] for i in at]
+            t = [fact.t for fact in members]
+            values = [fact.values for fact in members]
+            sources = [fact.source for fact in members]
+            groups.append(_Group(
+                members,
+                at,
+                t,
+                [[v.get(m) for v in values] for m in self.measures],
+                sources if any(s is not None for s in sources) else None,
+                len(set(t)) == len(t),
+            ))
+        return groups
 
     def plan(self, fact: FactRow, label: str) -> tuple[_Landing, ...] | str:
         """Where any fact on ``fact``'s leaves lands in mode ``label``, or
@@ -393,81 +431,130 @@ class _Kernel:
         return tuple(landings)
 
     def fold(
-        self, label: str, facts: Sequence[FactRow], existing: _Columns
+        self, label: str, groups: Sequence[_Group], existing: _Columns
     ) -> tuple[_Columns, list[UnmappedFact]]:
-        """Fold ``facts`` into the cells of one version mode with each
-        measure's ``⊕`` and ``⊗cf``, resuming the cells of ``existing``
+        """Fold the grouped facts into the cells of one version mode with
+        each measure's ``⊕`` and ``⊗cf``, resuming the cells of ``existing``
         from their folded values (sound for :data:`FOLDABLE_AGGREGATES`).
         Returns the mode's new columns — ``existing`` itself when no fact
-        lands — and the facts with no route."""
-        measures, parts = self.measures, self.parts
-        leaves_of = operator.itemgetter(*self.dimension_ids)
-        plans: dict[Any, tuple[_Landing, ...] | str] = {}
-        # (t, key, key id) -> its contribution, or a list of several
-        cells: dict[tuple[Instant, Key, int], _Contribution | list[_Contribution]] = {}
-        unmapped: list[UnmappedFact] = []
-        for fact in facts:
-            leaves = leaves_of(fact.coordinates)
-            plan = plans.get(leaves)
-            if plan is None:
-                plan = plans[leaves] = self.plan(fact, label)
+        lands — and the facts with no route, in fact order.
+
+        A block — one group's cells on one landing — whose key no other
+        block hits, whose ``t`` are distinct and none of whose cells is in
+        ``existing`` is emitted whole: each cell has one contribution.
+        Every other contribution is folded per cell, in fact order, then
+        landing order, after the cell's ``existing`` row."""
+        parts, keys = self.parts, self.parts.keys
+        n_measures = len(self.measures)
+        planned: list[tuple[_Group, tuple[_Landing, ...]]] = []
+        lost: list[tuple[int, UnmappedFact]] = []
+        for group in groups:
+            plan = self.plan(group.facts[0], label)
             if isinstance(plan, str):
-                unmapped.append(UnmappedFact(
-                    fact=fact, mode=label, dimension=plan, source=fact.coordinate(plan),
-                ))
-                continue
-            values, source = fact.values, fact.source
-            for landing in plan:
+                lost.extend(
+                    (i, UnmappedFact(fact, label, plan, fact.coordinate(plan)))
+                    for i, fact in zip(group.positions, group.facts)
+                )
+            else:
+                planned.append((group, plan))
+        unmapped = [fact for _, fact in sorted(lost, key=operator.itemgetter(0))]
+        hits = collections.Counter(
+            landing.key_id for _, plan in planned for landing in plan
+        )
+        old = frozenset(existing.keys)
+        # The emitted cells, one list per column.
+        key_ids: list[int] = []
+        ts: list[Instant] = []
+        values: list[list[Any]] = [[] for _ in range(n_measures)]
+        confidences: list[int] = []
+        provenance: list[int] = []
+        # (t, key id) -> its (position, landing index, contribution)s
+        shared: dict[tuple[Instant, int], list[tuple[int, int, _Contribution]]] = {}
+        for group, plan in planned:
+            n = len(group.t)
+            for index, landing in enumerate(plan):
                 converted = []
-                for m, chain in zip(measures, landing.chains):
-                    value = values.get(m)
+                for column, chain in zip(group.values, landing.chains):
                     for apply in chain:
-                        value = apply(value)
-                    converted.append(value)
-                provenance = landing.provenance
-                if source is not None:
-                    provenance = parts.provenance_id((f"{landing.entry} [from {source}]",))
-                # Tuples of atoms leave the collector's tracking, so a
-                # cell with one contribution costs the collector nothing.
-                contribution = (landing.confidences, tuple(converted), provenance)
-                at = (fact.t, landing.key, landing.key_id)
-                cell = cells.get(at)
-                if cell is None:
-                    cells[at] = contribution
-                elif type(cell) is list:
-                    cell.append(contribution)
+                        column = list(map(apply, column))
+                    converted.append(column)
+                if group.sources is None:
+                    provenances: Sequence[int] = itertools.repeat(landing.provenance, n)
                 else:
-                    cells[at] = [cell, contribution]
-        if not cells:
-            return existing, unmapped
+                    provenances = [
+                        landing.provenance if source is None else
+                        parts.provenance_id((f"{landing.entry} [from {source}]",))
+                        for source in group.sources
+                    ]
+                key_id = landing.key_id
+                if (
+                    hits[key_id] == 1
+                    and group.distinct
+                    and not (key_id in old and any(
+                        existing.find(t, landing.key, keys)[1] for t in group.t
+                    ))
+                ):
+                    key_ids.extend(itertools.repeat(key_id, n))
+                    ts.extend(group.t)
+                    for out, aggregate, column in zip(values, self.aggregates, converted):
+                        out.extend(aggregate.combine_each(column))
+                    confidences.extend(itertools.repeat(landing.confidences, n))
+                    provenance.extend(provenances)
+                    self.blocked += n
+                    continue
+                self.folded += n
+                rows = zip(*converted) if converted else itertools.repeat((), n)
+                for i, t, row, cell_provenance in zip(
+                    group.positions, group.t, rows, provenances
+                ):
+                    shared.setdefault((t, key_id), []).append(
+                        (i, index, (landing.confidences, row, cell_provenance))
+                    )
         aggregator, factors = self.schema.cf_aggregator, parts.confidences
-        folded = []
-        for t, key, key_id in sorted(cells):
-            contributions = cells[(t, key, key_id)]
-            if type(contributions) is not list:
-                contributions = [contributions]
-            at, found = existing.find(t, key, parts.keys) if existing else (0, False)
-            if found:
-                contributions.insert(0, (
-                    existing.confidences[at],
-                    [column[at] for column in existing.values],
-                    existing.provenance[at],
-                ))
+        for (t, key_id), tagged in shared.items():
+            tagged.sort(key=operator.itemgetter(0, 1))
+            contributions = [contribution for _, _, contribution in tagged]
+            if key_id in old:
+                at, found = existing.find(t, keys[key_id], keys)
+                if found:
+                    contributions.insert(0, (
+                        existing.confidences[at],
+                        [column[at] for column in existing.values],
+                        existing.provenance[at],
+                    ))
             if len(contributions) == 1:
                 # ⊗cf over a single factor is that factor.
-                confidences, _, provenance = contributions[0]
+                confidence, _, cell_provenance = contributions[0]
             else:
-                confidences = parts.confidence_id(tuple(
+                confidence = parts.confidence_id(tuple(
                     aggregator.combine_all([factors[c[0]][i] for c in contributions])
-                    for i in range(len(measures))
+                    for i in range(n_measures)
                 ))
-                provenance = parts.provenance_id(tuple(
+                cell_provenance = parts.provenance_id(tuple(
                     entry for c in contributions for entry in parts.provenance[c[2]]
                 ))
             columns = zip(*(c[1] for c in contributions))
-            values = [agg.combine_all(column) for agg, column in zip(self.aggregates, columns)]
-            folded.append((at, found, (key_id, t, *values, confidences, provenance)))
-        return existing.spliced(folded, parts), unmapped
+            for out, aggregate, column in zip(values, self.aggregates, columns):
+                out.append(aggregate.combine_all(column))
+            key_ids.append(key_id)
+            ts.append(t)
+            confidences.append(confidence)
+            provenance.append(cell_provenance)
+        if not key_ids:
+            return existing, unmapped
+        # Row order is (t, key): one integer sort on t and the key's rank.
+        ranked = sorted(set(key_ids), key=keys.__getitem__)
+        rank = dict(zip(ranked, range(len(ranked))))
+        order = sorted(range(len(key_ids)), key=list(map(
+            operator.add,
+            map(operator.mul, ts, itertools.repeat(len(ranked))),
+            map(rank.__getitem__, key_ids),
+        )).__getitem__)
+        cells = [
+            list(map(column.__getitem__, order))
+            for column in (key_ids, ts, *values, confidences, provenance)
+        ]
+        return existing.spliced(cells, parts), unmapped
 
 
 class MultiVersionFactTable:
@@ -605,14 +692,16 @@ class MultiVersionFactTable:
         in.  The columns of a mode no fact lands in are shared, never
         copied; the ``tcm`` slice is ``basis.facts`` itself."""
         kernel = _Kernel(schema, basis, parts)
+        groups = kernel.group(facts)
         columns, unmapped = dict(columns), dict(unmapped)
         for label in list(columns):
-            columns[label], lost = kernel.fold(label, facts, columns[label])
+            columns[label], lost = kernel.fold(label, groups, columns[label])
             if lost:
                 unmapped[label] += tuple(lost)
         table = cls(schema, modes, labels, columns, unmapped, basis, parts)
         span.set("facts", len(facts)).set("rows", len(table))
         span.set("unmapped", sum(len(lost) for lost in unmapped.values()))
+        span.set("cells_blocked", kernel.blocked).set("cells_folded", kernel.folded)
         return table
 
     # -- access ------------------------------------------------------------------

@@ -62,6 +62,25 @@ class TestMaintenance:
         with pytest.raises(InvalidRelationshipError):
             d.replace_relationship(rel, other)
 
+    def test_replacement_relationship_must_fit_its_members(self):
+        d = build_simple()
+        rel = d.relationships[1]  # b -> div over [0, 9]
+        with pytest.raises(InvalidRelationshipError):
+            d.replace_relationship(rel, TemporalRelationship("b", "div", Interval(-5, 9)))
+        assert d.relationships[1] == rel
+
+    def test_replacement_member_must_cover_its_relationships(self):
+        d = build_simple()
+        with pytest.raises(InvalidRelationshipError):
+            d.replace_member(d.member("b").excluded_at(5))  # b -> div2 from 10
+        assert d.member("b").valid_time == Interval(0)
+        d.remove_relationship(d.relationships[2])
+        d.replace_relationship(
+            d.relationships[1], TemporalRelationship("b", "div", Interval(0, 4))
+        )
+        d.replace_member(d.member("b").excluded_at(5))
+        assert d.member("b").valid_time == Interval(0, 4)
+
     def test_empty_dimension_id_rejected(self):
         with pytest.raises(ModelError):
             TemporalDimension("")
@@ -241,6 +260,36 @@ class TestRestrict:
         d = build_simple()
         r = d.restrict(Interval(10, 20))
         assert r.at(10).parents("b") == r.at(20).parents("b") == ["div2"]
+
+    @pytest.mark.parametrize("interval", [Interval(0, 9), Interval(10, 20), Interval(0)])
+    def test_restrict_equals_a_dimension_built_through_the_checks(self, interval):
+        """Copying the kept relationships without re-validating them gives
+        the dimension that adding each one through the public checks does."""
+        d = build_simple()
+        d.add_member(MemberVersion("c", "Dept-C", Interval(3, 14), level="Department"))
+        d.add_relationship(TemporalRelationship("c", "div2", Interval(3, 14)))
+        expected = TemporalDimension(d.did, d.name)
+        for mv in d.members.values():
+            if mv.valid_throughout(interval):
+                expected.add_member(mv)
+        for rel in d.relationships:
+            if (rel.valid_throughout(interval) and rel.child in expected
+                    and rel.parent in expected):
+                expected.add_relationship(rel, check_acyclic=False)
+        r = d.restrict(interval)
+        assert r.members == expected.members
+        assert r.relationships == expected.relationships
+        for mvid in r.members:
+            assert r.relationships_of(mvid) == expected.relationships_of(mvid)
+        assert r.at(interval.start).relationships == expected.at(interval.start).relationships
+
+    def test_invalid_relationship_still_raises_on_add(self):
+        d = build_simple()
+        r = d.restrict(Interval(0, 9))
+        r.add_member(MemberVersion("late", "Late", Interval(5), level="Department"))
+        with pytest.raises(InvalidRelationshipError):
+            r.add_relationship(TemporalRelationship("late", "div", Interval(0)))
+        assert all(rel.child != "late" for rel in r.relationships)
 
 
 class TestCriticalInstants:

@@ -1,10 +1,13 @@
 """Unit tests for measures, aggregates and the consistent fact table."""
 
+import math
+
 import pytest
 
 from repro.core import (
     AVG,
     COUNT,
+    AggregateFunction,
     FactError,
     MAX,
     MIN,
@@ -12,6 +15,16 @@ from repro.core import (
     SUM,
     TemporallyConsistentFactTable,
 )
+
+
+class _Median(AggregateFunction):
+    """A custom aggregate that keeps the default ``combine_each``."""
+
+    name = "median"
+
+    def fold(self, values):
+        ordered = sorted(values)
+        return ordered[len(ordered) // 2] * 1.0
 
 
 class TestAggregates:
@@ -35,6 +48,37 @@ class TestAggregates:
     def test_all_unknown_is_unknown(self):
         assert SUM.combine_all([None, None]) is None
         assert SUM.combine_all([]) is None
+
+
+class TestCombineEach:
+    """``combine_each`` folds each value on its own, exactly as
+    ``combine_all((v,))`` does: sum adds it to ``0`` (``-0.0`` becomes
+    ``0.0``), count gives ``1.0``, avg a float."""
+
+    VALUES = [3, 2.5, -0.0, math.nan, math.inf, -math.inf, None, 0, -7]
+
+    @pytest.mark.parametrize("aggregate", [SUM, MIN, MAX, COUNT, AVG, _Median()],
+                             ids=lambda a: a.name)
+    @pytest.mark.parametrize("values", [VALUES, [v for v in VALUES if v is not None],
+                                        [None, None], []], ids=["mixed", "known",
+                                                                "unknown", "empty"])
+    def test_equals_combine_all_of_each_value(self, aggregate, values):
+        expected = [aggregate.combine_all((v,)) for v in values]
+        got = aggregate.combine_each(values)
+        assert type(got) is list
+        assert list(map(repr, got)) == list(map(repr, expected))
+        assert list(map(type, got)) == list(map(type, expected))
+
+    def test_sum_turns_negative_zero_into_zero(self):
+        assert repr(SUM.combine_each([-0.0])) == "[0.0]"
+        assert repr(MIN.combine_each([-0.0])) == "[-0.0]"
+        assert COUNT.combine_each([5, None]) == [1.0, None]
+
+    def test_input_is_not_mutated(self):
+        values = [1, None]
+        for aggregate in (SUM, MIN, MAX, COUNT, AVG):
+            aggregate.combine_each(values)
+        assert values == [1, None]
 
 
 class TestMeasure:

@@ -5,9 +5,28 @@ import pytest
 
 from repro.concurrency import SnapshotManager
 from repro.concurrency.sharding import ShardedExecutor
-from repro.core import Interval, LevelGroup, Query, QueryEngine, TimeGroup, YEAR, ym
+from repro.core import (
+    EM,
+    SUM,
+    IdentityMapping,
+    Interval,
+    LevelGroup,
+    MappingRelationship,
+    Measure,
+    MeasureMap,
+    MemberVersion,
+    MultiVersionFactTable,
+    Query,
+    QueryEngine,
+    TemporalDimension,
+    TemporalMultidimensionalSchema,
+    TemporalRelationship,
+    TimeGroup,
+    YEAR,
+    ym,
+)
 from repro.mvql import MVQLSession
-from repro.observability import MetricsRegistry, Tracer
+from repro.observability import MetricsRegistry, Tracer, instrumented
 from repro.olap import Cube
 from repro.robustness import TransactionManager
 from repro.workloads.case_study import ORG, build_case_study
@@ -218,3 +237,46 @@ class TestStorage:
         db.insert_many("dim", [{"id": "b"}, {"id": "c"}])
         counters = metrics.snapshot()["counters"]
         assert counters['storage.rows_inserted{table="dim"}'] == 3
+
+
+class TestInference:
+    """The ``mvft.build`` span counts the contributions the kernel emits
+    as column blocks and those it folds into shared cells one by one."""
+
+    @staticmethod
+    def _merge_schema():
+        """``a`` and ``b`` merge into ``m`` at 10 (identity both ways);
+        ``s`` never changes."""
+        org = TemporalDimension("org")
+        org.add_member(MemberVersion("all", "All", Interval(0), level="All"))
+        for mvid, valid in (("a", Interval(0, 9)), ("b", Interval(0, 9)),
+                            ("m", Interval(10)), ("s", Interval(0))):
+            org.add_member(MemberVersion(mvid, mvid.upper(), valid, level="Leaf"))
+            org.add_relationship(TemporalRelationship(mvid, "all", valid))
+        schema = TemporalMultidimensionalSchema([org], [Measure("amount", SUM)])
+        identity = {"amount": MeasureMap(IdentityMapping(), EM)}
+        for source in ("a", "b"):
+            schema.add_mapping(
+                MappingRelationship(source, "m", forward=identity, reverse=identity)
+            )
+        for mvid, t in (("s", 5), ("s", 15), ("a", 5), ("b", 5), ("m", 15)):
+            schema.add_fact({"org": mvid}, t, amount=1.0)
+        return schema
+
+    @staticmethod
+    def _counts(schema):
+        tracer = Tracer()
+        with instrumented(tracer=tracer):
+            MultiVersionFactTable.build(schema)
+        (span,) = tracer.find("mvft.build")
+        return span.attributes["cells_blocked"], span.attributes["cells_folded"]
+
+    def test_blocked_and_folded_cells(self):
+        # In each mode, s's two facts are a block.  Before 10, a and b each
+        # share their key with m's way back; from 10, a, b and m land on m.
+        assert self._counts(self._merge_schema()) == (2 + 2, 4 + 3)
+
+    def test_a_repeated_cell_is_folded(self):
+        schema = self._merge_schema()
+        schema.add_fact({"org": "s"}, 5, amount=2.0)
+        assert self._counts(schema) == (0, 7 + 3 + 3)
