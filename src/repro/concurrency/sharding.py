@@ -135,7 +135,7 @@ class ShardedExecutor:
         the merged lists keep the serial fold order, so the ``⊗cf`` steps
         finalize records match a serial read's."""
         mode, _ = self.engine.resolve(query)
-        rows = range(self.mvft.cell_count().get(mode.label, 0))
+        rows = range(self.mvft._count(mode.label))
         parts = shard_rows(rows, self.shards)
         if len(parts) <= 1:
             return self.engine.collect_contributions(query)

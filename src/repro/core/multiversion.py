@@ -23,10 +23,12 @@ The table is **inferred** from the Temporal Multidimensional Schema:
   §5.2 front end paints red.
 
 One kernel does the routing and folding.  :meth:`MultiVersionFactTable.build`
-folds every fact into empty modes; :meth:`MultiVersionFactTable.refreshed`
-folds only the facts appended since a table was inferred into a *new* table
-that shares the columns of every untouched mode.  A table is never mutated
-once built.
+infers only the presentation modes; each version mode is a slot the kernel
+fills, by folding every fact into it, the first time a reader needs that
+mode.  :meth:`MultiVersionFactTable.refreshed` folds only the facts
+appended since a table was inferred, and only into the filled slots, in a
+*new* table that shares the columns of every untouched mode.  Seen from
+outside, a table is never mutated once built.
 
 Storage is columnar: the ``tcm`` slice is the fact tuple itself, and each
 version mode is a set of parallel columns (key id, ``t``, one column per
@@ -166,14 +168,14 @@ class _Basis:
     token: int
     facts: tuple[FactRow, ...]
     structure: int
-    targets: Mapping[tuple[str, str], frozenset[str]]  # leaf ids per (mode, dim)
     build_args: Mapping[str, Any]
 
 
 @contextmanager
-def _inference(kind: str) -> Iterator[Any]:
+def _inference(kind: str, **attributes: Any) -> Iterator[Any]:
     """The ``mvft.build`` span and ``mvft.builds`` counter of one pass."""
-    with _obs.current_tracer().span("mvft.build", attributes={"kind": kind}) as span:
+    attributes = {"kind": kind, **attributes}
+    with _obs.current_tracer().span("mvft.build", attributes=attributes) as span:
         yield span
     metrics = _obs.current_metrics()
     if metrics.enabled:
@@ -334,6 +336,14 @@ class _Group(NamedTuple):
     distinct: bool  # whether no two facts share a ``t``
 
 
+class _Slot(NamedTuple):
+    """One version mode's cells, and the facts with no route into it in
+    fact order."""
+
+    columns: _Columns
+    unmapped: tuple[UnmappedFact, ...]
+
+
 _Contribution = tuple[int, Sequence[Any], int]  # confidence id, values, provenance id
 
 
@@ -349,14 +359,20 @@ class _Kernel:
     column blocks and those folded cell by cell."""
 
     def __init__(
-        self, schema: "TemporalMultidimensionalSchema", basis: _Basis, parts: _Parts
+        self,
+        schema: "TemporalMultidimensionalSchema",
+        modes: ModeSet,
+        max_hops: int,
+        parts: _Parts,
     ) -> None:
         self.schema = schema
+        self.modes = modes
         self.dimension_ids = schema.dimension_ids
         self.measures = schema.measure_names
         self.aggregates = [schema.measure(m).aggregate for m in self.measures]
-        self.targets = basis.targets
-        self.max_hops = basis.build_args["max_hops"]
+        # mode -> dimension -> the leaf ids a route must end on
+        self.targets: dict[str, dict[str, frozenset[str]]] = {}
+        self.max_hops = max_hops
         self.parts = parts
         self.route_cache: dict[tuple[str, str, str], list[Route]] = {}
         self.blocked = self.folded = 0
@@ -387,13 +403,20 @@ class _Kernel:
         """Where any fact on ``fact``'s leaves lands in mode ``label``, or
         the first dimension along which no route leaves its leaf."""
         measures, aggregator = self.measures, self.schema.cf_aggregator
+        targets = self.targets.get(label)
+        if targets is None:
+            version = self.modes.mode(label).version
+            assert version is not None
+            targets = self.targets[label] = {
+                did: version.leaf_ids(did) for did in self.dimension_ids
+            }
         routes_per_dim: list[list[Route]] = []
         for did in self.dimension_ids:
             source = fact.coordinate(did)
             routes = self.route_cache.get((source, label, did))
             if routes is None:
                 routes = self.schema.mappings.routes(
-                    source, self.targets[(label, did)],
+                    source, targets[did],
                     measures=measures, max_hops=self.max_hops,
                 )
                 self.route_cache[(source, label, did)] = routes
@@ -561,34 +584,36 @@ class MultiVersionFactTable:
     """The inferred multiversion store behind every presentation mode.
 
     Build with :meth:`build`, bring up to date with :meth:`refreshed`;
-    query with :meth:`slice`, :meth:`lookup` and :meth:`rows`.  A table is
-    immutable, and a newer schema state always yields a *new* table.
+    query with :meth:`slice`, :meth:`lookup` and :meth:`rows`.  Seen from
+    outside a table is immutable, and a newer schema state always yields
+    a *new* table.
 
     The ``tcm`` slice is the fact tuple the table was inferred from
     (``f'|tcm = f × {sd}^m``), so it stores nothing of its own.  Each
-    version mode is stored as columns over interned parts
-    (:class:`_Columns`); the :class:`MVFactRow` values :meth:`slice`,
-    :meth:`rows` and :meth:`lookup` return are views built on demand, so
-    callers must not rely on their identity.
+    version mode is a slot, filled once, under the table's lock, the
+    first time a reader needs that mode: the kernel folds every fact
+    into it, and it holds the mode's columns over interned parts
+    (:class:`_Columns`) and its unmapped facts.  A reader of one mode
+    fills that mode's slot; :meth:`rows` and :attr:`unmapped` fill every
+    slot.  The :class:`MVFactRow` values :meth:`slice`, :meth:`rows` and
+    :meth:`lookup` return are views built on demand, so callers must not
+    rely on their identity.
     """
 
     def __init__(
         self,
         schema: "TemporalMultidimensionalSchema",
         modes: ModeSet,
-        labels: tuple[str, ...],
-        columns: dict[str, _Columns],
-        unmapped: dict[str, tuple[UnmappedFact, ...]],
         basis: _Basis,
         parts: _Parts,
+        slots: dict[str, _Slot],
     ) -> None:
         self._schema = schema
         self._modes = modes
-        self._labels = labels  # the materialized modes, in mode order
-        self._columns = columns
-        self._unmapped = unmapped
         self._basis = basis
         self._parts = parts
+        self._slots = slots  # the filled version modes
+        self._lock = threading.Lock()  # held by a fill, and by a derive's copy
         # mode -> (key, t) -> row position, built on a mode's first lookup
         self._positions_by_mode: dict[str, dict[tuple[Key, Instant], int]] = {}
         # The schema state this table was inferred from — the *structure
@@ -609,37 +634,17 @@ class MultiVersionFactTable:
         *,
         horizon: Instant | None = None,
         max_hops: int = 8,
-        mode_labels: Sequence[str] | None = None,
     ) -> "MultiVersionFactTable":
-        """Infer ``f'`` from the schema (Definition 11).
-
-        ``mode_labels`` restricts inference to a subset of modes (always
-        including any requested version modes; ``tcm`` is cheap and always
-        materialized unless explicitly excluded).
-        """
+        """Infer ``f'`` from the schema (Definition 11): the presentation
+        modes now, each version mode's cells on its first read."""
         with _inference("full") as span:
             token = schema.version_token()
             modes = schema.presentation_modes(horizon=horizon)
-            wanted = list(modes.labels) if mode_labels is None else list(mode_labels)
-            for label in wanted:
-                modes.mode(label)  # raise early on unknown labels
-            labels = tuple(label for label in modes.labels if label in wanted)
-            targets = {
-                (mode.label, did): mode.version.leaf_ids(did)
-                for mode in modes.version_modes
-                if mode.label in wanted
-                for did in schema.dimension_ids
-            }
-            args = dict(horizon=horizon, max_hops=max_hops, mode_labels=mode_labels)
             facts = tuple(schema.facts)
-            basis = _Basis(token, facts, schema.structure_token(), targets, args)
-            parts = _Parts(schema.measure_names)
-            empty = _Columns.of(parts, (), (), [()] * len(parts.measures), (), ())
-            versions = [label for label in labels if label != TCM_LABEL]
-            return cls._fold(
-                schema, modes, labels, {label: empty for label in versions},
-                {label: () for label in versions}, basis, parts, facts, span,
-            )
+            args = dict(horizon=horizon, max_hops=max_hops)
+            basis = _Basis(token, facts, schema.structure_token(), args)
+            span.set("facts", len(facts)).set("rows", len(facts))
+            return cls(schema, modes, basis, _Parts(schema.measure_names), {})
 
     def refreshed(self) -> "MultiVersionFactTable":
         """A table matching the live schema; this one is left untouched.
@@ -647,10 +652,12 @@ class MultiVersionFactTable:
         * **current** — nothing changed since inference: ``self``;
         * **derived** — facts were only appended past this table's fact
           prefix, no dimension or mapping changed and every measure is in
-          :data:`FOLDABLE_AGGREGATES`: a new table sharing the columns of
-          every mode no new fact lands in, with the new facts folded into
-          the affected cells — rows, their order, :attr:`unmapped` and
-          lookups exactly as a rebuild would give;
+          :data:`FOLDABLE_AGGREGATES`: a new table with the new facts
+          folded into the affected cells of every *filled* mode, sharing
+          the columns of every filled mode no new fact lands in — rows,
+          their order, :attr:`unmapped` and lookups exactly as a rebuild
+          would give.  A mode this table has not filled stays unfilled,
+          and fills from all the facts on its first read;
         * **rebuilt** — otherwise (an evolution, a new mapping, a rolled
           back fact): a full :meth:`build` with this table's parameters.
         """
@@ -668,41 +675,59 @@ class MultiVersionFactTable:
                     for m in schema.measures)
         ):
             with _inference("derived") as span:
-                return self._fold(
-                    schema, self._modes, self._labels, self._columns, self._unmapped,
-                    replace(basis, token=token, facts=facts), self._parts,
-                    facts[folded:], span,
+                with self._lock:
+                    slots = dict(self._slots)
+                kernel = _Kernel(
+                    schema, self._modes, basis.build_args["max_hops"], self._parts
                 )
+                groups = kernel.group(facts[folded:])
+                for label, (columns, unmapped) in slots.items():
+                    columns, lost = kernel.fold(label, groups, columns)
+                    slots[label] = _Slot(columns, unmapped + tuple(lost))
+                table = MultiVersionFactTable(
+                    schema, self._modes, replace(basis, token=token, facts=facts),
+                    self._parts, slots,
+                )
+                span.set("facts", len(facts) - folded).set("rows", len(table))
+                span.set("unmapped", sum(len(slot.unmapped) for slot in slots.values()))
+                span.set("cells_blocked", kernel.blocked)
+                span.set("cells_folded", kernel.folded)
+                return table
         return self.build(schema, **basis.build_args)
 
-    @classmethod
-    def _fold(
-        cls,
-        schema: "TemporalMultidimensionalSchema",
-        modes: ModeSet,
-        labels: tuple[str, ...],
-        columns: Mapping[str, _Columns],
-        unmapped: Mapping[str, tuple[UnmappedFact, ...]],
-        basis: _Basis,
-        parts: _Parts,
-        facts: Sequence[FactRow],
-        span: Any,
-    ) -> "MultiVersionFactTable":
-        """A new table: these version-mode columns with ``facts`` folded
-        in.  The columns of a mode no fact lands in are shared, never
-        copied; the ``tcm`` slice is ``basis.facts`` itself."""
-        kernel = _Kernel(schema, basis, parts)
-        groups = kernel.group(facts)
-        columns, unmapped = dict(columns), dict(unmapped)
-        for label in list(columns):
-            columns[label], lost = kernel.fold(label, groups, columns[label])
-            if lost:
-                unmapped[label] += tuple(lost)
-        table = cls(schema, modes, labels, columns, unmapped, basis, parts)
-        span.set("facts", len(facts)).set("rows", len(table))
-        span.set("unmapped", sum(len(lost) for lost in unmapped.values()))
-        span.set("cells_blocked", kernel.blocked).set("cells_folded", kernel.folded)
-        return table
+    def _slot(self, label: str) -> _Slot:
+        """Version mode ``label``'s slot, filled on first use."""
+        slot = self._slots.get(label)
+        if slot is None:
+            self._modes.mode(label)  # QueryError on an unknown label
+            self._fill((label,))
+            slot = self._slots[label]
+        return slot
+
+    def _fill(self, labels: Sequence[str]) -> None:
+        """Fill the slots of the version modes ``labels`` not filled yet:
+        the kernel folds every fact of the basis into each, under the
+        table's lock, so concurrent readers fill a slot once.  The modes
+        share one grouping of the facts; each fill is one span."""
+        with self._lock:
+            missing = [label for label in labels if label not in self._slots]
+            if not missing:
+                return
+            basis, parts = self._basis, self._parts
+            kernel = _Kernel(self._schema, self._modes, basis.build_args["max_hops"], parts)
+            empty = _Columns.of(parts, (), (), [()] * len(parts.measures), (), ())
+            groups = None
+            for label in missing:
+                with _inference("mode", mode=label) as span:
+                    if groups is None:
+                        groups = kernel.group(basis.facts)
+                    kernel.blocked = kernel.folded = 0
+                    columns, lost = kernel.fold(label, groups, empty)
+                    span.set("facts", len(basis.facts)).set("rows", len(columns))
+                    span.set("unmapped", len(lost))
+                    span.set("cells_blocked", kernel.blocked)
+                    span.set("cells_folded", kernel.folded)
+                self._slots[label] = _Slot(columns, tuple(lost))
 
     # -- access ------------------------------------------------------------------
 
@@ -729,31 +754,33 @@ class MultiVersionFactTable:
     @property
     def unmapped(self) -> list[UnmappedFact]:
         """Facts with no route into some mode (red cells in the §5.2 UI),
-        grouped by mode in mode order, in fact order within a mode."""
-        return [fact for lost in self._unmapped.values() for fact in lost]
+        grouped by mode in mode order, in fact order within a mode.  Fills
+        every slot."""
+        labels = [mode.label for mode in self._modes.version_modes]
+        self._fill(labels)
+        return [fact for label in labels for fact in self._slots[label].unmapped]
 
     def slice(self, mode_label: str) -> list[MVFactRow]:
         """All rows of one presentation mode, as views."""
-        if mode_label not in self._labels:
-            if mode_label in self._modes:
-                return []
-            raise QueryError(f"unknown presentation mode {mode_label!r}")
         view = self._view
         return [view(mode_label, i) for i in range(self._count(mode_label))]
 
     def rows(self) -> Iterator[MVFactRow]:
-        """Iterate every materialized row across modes, as views."""
-        for label in self._labels:
+        """Iterate every row across modes, in mode order, as views; fills
+        every slot."""
+        self._fill([mode.label for mode in self._modes.version_modes])
+        for label in self._modes.labels:
             for i in range(self._count(label)):
                 yield self._view(label, i)
 
     def __len__(self) -> int:
-        return sum(self._count(label) for label in self._labels)
+        """The number of materialized cells: ``tcm`` plus the filled slots."""
+        return sum(self.cell_count().values())
 
     def lookup(
         self, coordinates: Mapping[str, str], t: Instant, mode_label: str
     ) -> MVFactRow | None:
-        """The cell at exactly these coordinates/time/mode, if materialized."""
+        """The cell at exactly these coordinates/time/mode, if any."""
         at = self._positions(mode_label).get((tuple(sorted(coordinates.items())), t))
         return None if at is None else self._view(mode_label, at)
 
@@ -770,12 +797,19 @@ class MultiVersionFactTable:
             return None
         if mode_label == TCM_LABEL:
             return self._basis.facts[at].value(measure), SD
-        columns, j = self._columns[mode_label], parts.measures.index(measure)
+        columns, j = self._slot(mode_label).columns, parts.measures.index(measure)
         return columns.values[j][at], parts.confidences[columns.confidences[at]][j]
 
     def cell_count(self) -> dict[str, int]:
-        """Number of materialized cells per mode (storage-redundancy bench)."""
-        return {label: self._count(label) for label in self._labels}
+        """Number of materialized cells per mode (storage-redundancy bench):
+        ``tcm`` and each filled slot, in mode order.  Fills nothing, so a
+        mode no reader has needed yet is absent; :meth:`_count` is the
+        per-mode count that fills."""
+        slots = self._slots
+        return {
+            label: self._count(label) for label in self._modes.labels
+            if label == TCM_LABEL or label in slots
+        }
 
     # -- column readers ------------------------------------------------------------
     #
@@ -783,17 +817,18 @@ class MultiVersionFactTable:
     # columns through these, materializing a view only for a row they keep.
 
     def _count(self, label: str) -> int:
+        """The number of rows of mode ``label``, filling its slot."""
         if label == TCM_LABEL:
             return len(self._basis.facts)
-        return len(self._columns[label])
+        return len(self._slot(label).columns)
 
     def _positions(self, label: str) -> dict[tuple[Key, Instant], int]:
-        """``(key, t)`` → row position in mode ``label`` (empty when the
-        mode is not materialized), built on first use; in ``tcm`` a later
-        duplicate fact wins, as it does in a rebuild."""
+        """``(key, t)`` → row position in mode ``label`` (empty for an
+        unknown mode), built on first use; in ``tcm`` a later duplicate
+        fact wins, as it does in a rebuild."""
         positions = self._positions_by_mode.get(label)
         if positions is None:
-            if label not in self._labels:
+            if label not in self._modes:
                 return {}
             if label == TCM_LABEL:
                 cells: Iterable[tuple[Key, Instant]] = (
@@ -801,7 +836,7 @@ class MultiVersionFactTable:
                     for fact in self._basis.facts
                 )
             else:
-                columns = self._columns[label]
+                columns = self._slot(label).columns
                 cells = zip(map(self._parts.keys.__getitem__, columns.keys), columns.t)
             positions = {cell: i for i, cell in enumerate(cells)}
             self._positions_by_mode[label] = positions
@@ -821,7 +856,7 @@ class MultiVersionFactTable:
                 parts.provenance[parts.source_data] if fact.source is None
                 else (f"source data [from {fact.source}]",),
             )
-        columns = self._columns[label]
+        columns = self._slot(label).columns
         return MVFactRow._from_parts(
             parts.coordinates[columns.keys[i]],
             columns.t[i],
@@ -838,11 +873,9 @@ class MultiVersionFactTable:
     ]]:
         """``(position, label key, coordinates, t, values, ⊗cf factors)``
         of the rows at ``positions`` (a step-1 range) in row order, without
-        views; nothing when the mode is not materialized.  Rows with equal
-        label keys have equal coordinates, and in ``tcm`` also equal ``t``,
-        so they resolve to the same hierarchy labels."""
-        if label not in self._labels:
-            return iter(())
+        views.  Rows with equal label keys have equal coordinates, and in
+        ``tcm`` also equal ``t``, so they resolve to the same hierarchy
+        labels."""
         start, stop = positions.start, positions.stop
         parts = self._parts
         if label == TCM_LABEL:
@@ -860,7 +893,7 @@ class MultiVersionFactTable:
                 zip(*(map(operator.itemgetter(m), values) for m in parts.measures)),
                 itertools.repeat(parts.confidences[parts.all_sd]),
             )
-        columns = self._columns[label]
+        columns = self._slot(label).columns
         keys = columns.keys[start:stop]
         return zip(
             positions,
@@ -876,9 +909,7 @@ class MultiVersionFactTable:
         the ``tcm`` cell at their ``(coordinates, t)`` — none there, other
         values, or a confidence other than ``sd`` — in row order: the cells
         a differences-only store must keep."""
-        columns = self._columns.get(label)
-        if columns is None:
-            return
+        columns = self._slot(label).columns
         parts, facts = self._parts, self._basis.facts
         tcm = self._positions(TCM_LABEL)
         for i, (key_id, t, confidence) in enumerate(

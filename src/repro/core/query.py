@@ -487,7 +487,7 @@ class QueryEngine:
         table = self._mvft
         label = mode.label
         if rows is None:
-            rows = range(table.cell_count().get(label, 0))
+            rows = range(table._count(label))
         elif not isinstance(rows, range) or rows.step != 1:
             raise QueryError("rows must be a step-1 range of row positions")
         measure_index = [self._schema.measure_names.index(m) for m in measures]

@@ -192,12 +192,15 @@ def random_schema(seed, aggregates=(SUM, MIN, MAX, COUNT, AVG), n_facts=40):
 
 @pytest.fixture
 def reference(monkeypatch):
-    """Build a table with the reference fold instead of the kernel's."""
+    """Build a table with the reference fold instead of the kernel's,
+    every mode filled while the reference is in place."""
 
     def build(make):
         with monkeypatch.context() as patch:
             patch.setattr(multiversion, "_Kernel", ReferenceKernel)
-            return make()
+            table = make()
+            table.unmapped  # fills every mode
+            return table
 
     return build
 
@@ -221,6 +224,7 @@ class TestKernelEqualsReference:
         for fact in rows[:prefix]:
             full.add_fact(fact.coordinates, fact.t, dict(fact.values), source=fact.source)
         table = MultiVersionFactTable.build(full)
+        table.unmapped  # fills every mode, so the derive folds into each
         expected = reference(lambda: MultiVersionFactTable.build(full))
         for fact in rows[prefix:]:
             full.add_fact(fact.coordinates, fact.t, dict(fact.values), source=fact.source)
@@ -254,12 +258,17 @@ class TestKernelEqualsReference:
                     seen.add("-0.0")
             with instrumented() as (tracer, _):
                 table = MultiVersionFactTable.build(schema)
-            (span,) = tracer.find("mvft.build")
-            if span.attributes["cells_blocked"]:
+                unmapped = table.unmapped  # fills every mode
+            fills = [
+                span.attributes for span in tracer.find("mvft.build")
+                if span.attributes["kind"] == "mode"
+            ]
+            assert len(fills) == len(table.modes.version_modes)
+            if sum(fill["cells_blocked"] for fill in fills):
                 seen.add("blocks")
-            if span.attributes["cells_folded"]:
+            if sum(fill["cells_folded"] for fill in fills):
                 seen.add("shared cells")
-            if table.unmapped:
+            if unmapped:
                 seen.add("unmapped")
             provenance = " ".join(p for row in table.rows() for p in row.provenance)
             for text in ("x -> 0.", "x -> x-1", "x -> ?"):

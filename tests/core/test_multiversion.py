@@ -18,23 +18,35 @@ from repro.core import (
     EvolutionManager,
     IdentityMapping,
     Interval,
+    LevelGroup,
     LinearMapping,
     MappingRelationship,
     Measure,
     MeasureMap,
     MemberVersion,
+    Query,
+    QueryEngine,
     QueryError,
     SUM,
     TemporalDimension,
     TemporalMultidimensionalSchema,
     TemporalRelationship,
+    TimeGroup,
+    YEAR,
 )
+from repro.concurrency.snapshot import SchemaSnapshot, clone_schema
 from repro.core.chronology import ym
 from repro.core.multiversion import MVFactRow, MultiVersionFactTable
 from repro.observability import MetricsRegistry, instrumented
 from repro.robustness import TransactionManager
 from repro.workloads.case_study import ORG, build_case_study, fact_instant
 from repro.workloads.generator import WorkloadConfig, generate_workload
+
+
+def _filled(table):
+    """``table``, with every version mode's slot filled."""
+    table.unmapped
+    return table
 
 
 class TestTcmSlice:
@@ -83,7 +95,7 @@ class TestVersionModes:
         assert any("bill -> jones" in p for p in row.provenance)
 
     def test_cell_counts_per_mode(self, mvft):
-        counts = mvft.cell_count()
+        counts = _filled(mvft).cell_count()
         assert counts["tcm"] == 10
         assert counts["V1"] == 9   # 2003's four facts collapse to three cells
         assert counts["V2"] == 9
@@ -100,27 +112,116 @@ class TestVersionModes:
         assert mvft.lookup({ORG: "jones"}, fact_instant(2003), "V3") is None
 
 
-class TestModeSubsetBuild:
-    def test_build_only_requested_modes(self, case_study):
-        mvft = case_study.schema.multiversion_facts()
-        partial = type(mvft).build(case_study.schema, mode_labels=["tcm", "V3"])
-        assert partial.cell_count() == {
-            "tcm": mvft.cell_count()["tcm"],
-            "V3": mvft.cell_count()["V3"],
-        }
+class TestLazyModes:
+    """Each version mode is a slot, filled the first time a reader needs
+    that mode; ``len`` and ``cell_count`` count only materialized cells."""
 
-    def test_unbuilt_known_mode_slices_empty(self, case_study):
-        mvft = type(case_study.schema.multiversion_facts()).build(
-            case_study.schema, mode_labels=["tcm"]
+    @staticmethod
+    def _fills(tracer):
+        return [
+            span.attributes["mode"] for span in tracer.find("mvft.build")
+            if span.attributes["kind"] == "mode"
+        ]
+
+    def test_build_materializes_only_tcm(self, case_study):
+        with instrumented() as (tracer, metrics):
+            table = MultiVersionFactTable.build(case_study.schema)
+        n = len(case_study.schema.facts)
+        assert table.cell_count() == {"tcm": n}
+        assert len(table) == n
+        assert len(table.slice("tcm")) == n
+        assert self._fills(tracer) == []
+        assert metrics.snapshot()["counters"] == {'mvft.builds{kind="full"}': 1}
+
+    @pytest.mark.parametrize("read", [
+        lambda table: table.lookup({ORG: "brian"}, fact_instant(2001), "V1"),
+        lambda table: table.measure_at({ORG: "brian"}, fact_instant(2001), "V1", "amount"),
+        lambda table: table.slice("V1"),
+        lambda table: list(table._differences("V1")),
+        lambda table: QueryEngine(table).execute(Query(
+            group_by=(TimeGroup(YEAR), LevelGroup(ORG, "Division")), mode="V1"
+        )),
+    ], ids=["lookup", "measure_at", "slice", "differences", "query"])
+    def test_a_read_fills_only_its_mode(self, case_study, read):
+        full = _filled(MultiVersionFactTable.build(case_study.schema)).cell_count()
+        table = MultiVersionFactTable.build(case_study.schema)
+        with instrumented() as (tracer, _):
+            read(table)
+            read(table)
+        assert self._fills(tracer) == ["V1"]
+        assert table.cell_count() == {"tcm": full["tcm"], "V1": full["V1"]}
+        assert len(table) == full["tcm"] + full["V1"]
+        table.slice("V3")
+        assert table.cell_count() == {label: full[label] for label in ("tcm", "V1", "V3")}
+
+    @pytest.mark.parametrize("read", [
+        lambda table: list(table.rows()), lambda table: table.unmapped,
+    ], ids=["rows", "unmapped"])
+    def test_whole_table_readers_fill_every_slot(self, case_study, read):
+        table = MultiVersionFactTable.build(case_study.schema)
+        with instrumented() as (tracer, _):
+            read(table)
+        labels = case_study.schema.presentation_modes().labels
+        assert self._fills(tracer) == labels[1:]
+        assert list(table.cell_count()) == labels
+        assert _observable(table) == _observable(
+            _filled(MultiVersionFactTable.build(case_study.schema))
         )
-        assert mvft.slice("V1") == []
-        assert mvft.lookup({ORG: "brian"}, fact_instant(2001), "V1") is None
 
-    def test_unknown_mode_label_rejected_early(self, case_study):
-        from repro.core import MultiVersionFactTable
+    def test_unknown_mode_label_rejected(self, case_study):
+        table = MultiVersionFactTable.build(case_study.schema)
+        for read in (
+            lambda: table.slice("V99"),
+            lambda: table._count("V99"),
+            lambda: QueryEngine(table).execute(Query(mode="V99")),
+        ):
+            with pytest.raises(QueryError):
+                read()
+        assert table.lookup({ORG: "brian"}, fact_instant(2001), "V99") is None
+        assert table.cell_count() == {"tcm": len(case_study.schema.facts)}
 
-        with pytest.raises(QueryError):
-            MultiVersionFactTable.build(case_study.schema, mode_labels=["V99"])
+    def test_threads_reading_one_snapshot_fill_each_slot_once(self):
+        """Four threads read every mode of one fresh snapshot, each in its
+        own order: each slot is filled exactly once, and every thread
+        gets the same answers."""
+        snapshot = SchemaSnapshot(clone_schema(_toy(7)), 1)
+        labels = snapshot.schema.presentation_modes().labels
+        answers, errors = [], []
+        barrier = threading.Barrier(4, timeout=10)
+
+        def read(shift):
+            try:
+                barrier.wait()
+                table = snapshot.mvft()
+                order = labels[shift:] + labels[:shift]
+                answers.append({label: _rows(table, label) for label in order})
+            except Exception as exc:  # surfaced by the assertion below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with instrumented(metrics=MetricsRegistry()) as (_, metrics):
+                threads = [
+                    threading.Thread(target=read, args=(shift,)) for shift in range(4)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors and len(answers) == 4
+        assert all(answer == answers[0] for answer in answers)
+        assert metrics.snapshot()["counters"] == {
+            'mvft.builds{kind="full"}': 1,
+            'mvft.builds{kind="mode"}': len(labels) - 1,
+        }
+        assert answers[0] == {
+            label: _rows(_filled(MultiVersionFactTable.build(_toy(7))), label)
+            for label in labels
+        }
 
 
 def deletion_schema():
@@ -238,21 +339,23 @@ class TestMaxHops:
         assert [u for u in narrow.unmapped if u.mode == last_mode]
 
 
+def _rows(table, label):
+    """The rows of one mode, in order, as comparable tuples."""
+    return [
+        (
+            tuple(r.coordinates.items()), r.t, r.mode,
+            tuple((m, repr(v)) for m, v in r.values.items()),
+            tuple((m, c.symbol) for m, c in r.confidences.items()),
+            r.provenance,
+        )
+        for r in table.slice(label)
+    ]
+
+
 def _observable(table):
     """Ordered rows, unmapped facts and lookups of every mode."""
     return (
-        {
-            label: [
-                (
-                    tuple(r.coordinates.items()), r.t, r.mode,
-                    tuple((m, repr(v)) for m, v in r.values.items()),
-                    tuple((m, c.symbol) for m, c in r.confidences.items()),
-                    r.provenance,
-                )
-                for r in table.slice(label)
-            ]
-            for label in table.modes.labels
-        },
+        {label: _rows(table, label) for label in table.modes.labels},
         [(u.mode, u.dimension, u.source, u.fact) for u in table.unmapped],
         [table.lookup(r.coordinates, r.t, r.mode) for r in table.rows()],
     )
@@ -281,22 +384,23 @@ class TestRefreshed:
         plus the new one."""
         schema = golden_fixture()
         table = MultiVersionFactTable.build(schema)
-        before = _observable(table)
-        parent = dict(table._columns)
+        before = _observable(table)  # fills every slot
+        parent = {label: slot.columns for label, slot in table._slots.items()}
         contents = {label: _contents(columns) for label, columns in parent.items()}
         # ``z`` has no route past V1, so only V1 gains a contribution.
         schema.add_fact({"org": "z", "product": "p1"}, 5, {"amount": 2.0, "peak": 1.0})
         derived = table.refreshed()
         assert derived is not table and not derived.is_stale()
         assert table.is_stale() and _observable(table) == before
-        assert all(parent[label] is columns for label, columns in table._columns.items())
+        assert all(parent[label] is slot.columns for label, slot in table._slots.items())
         assert {label: _contents(c) for label, c in parent.items()} == contents
+        assert derived._slots.keys() == parent.keys()
         touched = {
-            label for label, columns in derived._columns.items()
-            if columns is not parent[label]
+            label for label, slot in derived._slots.items()
+            if slot.columns is not parent[label]
         }
         assert touched == {"V1"}
-        old, new = contents["V1"], _contents(derived._columns["V1"])
+        old, new = contents["V1"], _contents(derived._slots["V1"].columns)
         assert [len(column) for column in new] == [len(column) for column in old]
         changed = {
             i for column_old, column_new in zip(old, new)
@@ -329,33 +433,38 @@ class TestRefreshed:
 
     def test_evolution_rebuilds_with_the_same_parameters(self):
         study = build_case_study()
-        table = MultiVersionFactTable.build(
-            study.schema, max_hops=1, mode_labels=["V1", "V3"]
-        )
+        table = MultiVersionFactTable.build(study.schema, max_hops=1)
+        table.slice("V1"), table.slice("V3")
         EvolutionManager(study.schema).split_member(
             ORG,
             "smith",
             {"smith_a": ("Dpt.Smith-A", 0.5), "smith_b": ("Dpt.Smith-B", 0.5)},
             ym(2004, 1),
         )
-        rebuilt = table.refreshed()
-        assert rebuilt.cell_count().keys() == {"V1", "V3"}
+        with instrumented(metrics=MetricsRegistry()) as (_, metrics):
+            rebuilt = table.refreshed()
+        assert metrics.snapshot()["counters"] == {'mvft.builds{kind="full"}': 1}
+        # A rebuild fills nothing: the old slots describe another structure.
+        assert rebuilt.cell_count().keys() == {"tcm"}
+        assert rebuilt._basis.build_args == {"horizon": None, "max_hops": 1}
         assert _observable(rebuilt) == _observable(
-            MultiVersionFactTable.build(
-                study.schema, max_hops=1, mode_labels=["V1", "V3"]
-            )
+            MultiVersionFactTable.build(study.schema, max_hops=1)
         )
 
     def test_derived_with_build_parameters(self):
+        """A derive folds the new facts into the filled slots only; the
+        others fill from every fact on their first read."""
         study = build_case_study()
         table = MultiVersionFactTable.build(
-            study.schema, horizon=ym(2010, 1), max_hops=1, mode_labels=["V2"]
+            study.schema, horizon=ym(2010, 1), max_hops=1
         )
+        table.slice("V2")
         study.schema.add_fact({ORG: "bill"}, fact_instant(2003), amount=9.0)
-        assert _observable(table.refreshed()) == _observable(
-            MultiVersionFactTable.build(
-                study.schema, horizon=ym(2010, 1), max_hops=1, mode_labels=["V2"]
-            )
+        derived = table.refreshed()
+        assert derived.cell_count().keys() == {"tcm", "V2"}
+        assert derived._basis.build_args == {"horizon": ym(2010, 1), "max_hops": 1}
+        assert _observable(derived) == _observable(
+            MultiVersionFactTable.build(study.schema, horizon=ym(2010, 1), max_hops=1)
         )
 
     def test_non_foldable_measure_rebuilds(self):
@@ -376,21 +485,44 @@ class TestRefreshed:
         study = build_case_study()
         with instrumented() as (tracer, metrics):
             table = MultiVersionFactTable.build(study.schema)
+            table.lookup({ORG: "brian"}, fact_instant(2001), "V1")
             study.schema.add_fact({ORG: "brian"}, fact_instant(2001), amount=7.0)
             derived = table.refreshed()
-        full, again = tracer.find("mvft.build")
-        assert full.attributes == {
-            "kind": "full", "facts": 10, "rows": len(table), "unmapped": 0,
-            "cells_blocked": 18, "cells_folded": 14,
+            derived.slice("V2")
+        full, fill, again, later = tracer.find("mvft.build")
+        assert full.attributes == {"kind": "full", "facts": 10, "rows": 10}
+        assert fill.attributes == {
+            "kind": "mode", "mode": "V1", "facts": 10, "rows": 9, "unmapped": 0,
+            "cells_blocked": 6, "cells_folded": 4,
         }
-        # Brian's 2001 cell exists in every version mode: folded per cell.
+        # Only V1 is filled, and Brian's 2001 cell exists there: folded per
+        # cell.  The derived table's rows are tcm's 11 and V1's 9.
         assert again.attributes == {
-            "kind": "derived", "facts": 1, "rows": len(derived), "unmapped": 0,
-            "cells_blocked": 0, "cells_folded": 3,
+            "kind": "derived", "facts": 1, "rows": 20, "unmapped": 0,
+            "cells_blocked": 0, "cells_folded": 1,
         }
-        counters = metrics.snapshot()["counters"]
-        assert counters['mvft.builds{kind="full"}'] == 1
-        assert counters['mvft.builds{kind="derived"}'] == 1
+        # V2 was never filled, so it fills from all 11 facts.
+        assert later.attributes == {
+            "kind": "mode", "mode": "V2", "facts": 11, "rows": 9, "unmapped": 0,
+            "cells_blocked": 3, "cells_folded": 8,
+        }
+        assert metrics.snapshot()["counters"] == {
+            'mvft.builds{kind="full"}': 1,
+            'mvft.builds{kind="mode"}': 2,
+            'mvft.builds{kind="derived"}': 1,
+        }
+
+    def test_filling_every_slot_counts_the_eager_figures(self):
+        """The fill spans of every mode add up to what one eager pass over
+        every mode counted."""
+        study = build_case_study()
+        with instrumented() as (tracer, _):
+            _filled(MultiVersionFactTable.build(study.schema))
+        fills = [s.attributes for s in tracer.find("mvft.build")][1:]
+        assert [f["mode"] for f in fills] == ["V1", "V2", "V3"]
+        assert sum(f["rows"] for f in fills) == 9 + 9 + 12
+        assert sum(f["cells_blocked"] for f in fills) == 18
+        assert sum(f["cells_folded"] for f in fills) == 14
 
 
 _FIXTURE_FACTS = (
@@ -524,7 +656,7 @@ class TestGolden:
     @pytest.mark.parametrize("prefix", [0, 3, 6])
     def test_derived_fixture_matches_recorded_digest(self, prefix):
         schema = golden_fixture(prefix)
-        table = MultiVersionFactTable.build(schema)
+        table = _filled(MultiVersionFactTable.build(schema))
         for coordinates, t, values, source in _FIXTURE_FACTS[prefix:]:
             schema.add_fact(coordinates, t, values, source=source)
         with instrumented(metrics=MetricsRegistry()) as (_, metrics):
@@ -566,20 +698,22 @@ class TestSharedRowParts:
         table = MultiVersionFactTable.build(_toy(7))
         assert len(self._all_sd_confidences(table)) == 1
         parts = table._parts
+        columns_of = [slot.columns for slot in table._slots.values()]
+        assert len(columns_of) == len(table.modes.version_modes)
         all_sd = {
-            cid for columns in table._columns.values() for cid in columns.confidences
+            cid for columns in columns_of for cid in columns.confidences
             if all(c is SD for c in parts.confidences[cid])
         }
         assert all_sd == {parts.all_sd}
         # Values live in one column per measure, not in per-row mappings.
         assert all(
             len(column) == len(columns)
-            for columns in table._columns.values() for column in columns.values
+            for columns in columns_of for column in columns.values
         )
 
     def test_derived_rows_share_with_the_parent(self):
         study = build_case_study()
-        table = MultiVersionFactTable.build(study.schema)
+        table = _filled(MultiVersionFactTable.build(study.schema))
         study.schema.add_fact({ORG: "brian"}, fact_instant(2001), amount=7.0)
         study.schema.add_fact({ORG: "smith"}, fact_instant(2003), amount=2.0)
         derived = table.refreshed()
@@ -612,7 +746,7 @@ class TestSharedRowParts:
         """Tables derived from one parent on several threads share its
         pool: each is exact, and equal parts are still one object."""
         schema = _toy(7)
-        table = MultiVersionFactTable.build(schema)
+        table = _filled(MultiVersionFactTable.build(schema))
         for fact in list(schema.facts)[::3]:
             schema.add_fact(fact.coordinates, fact.t, dict(fact.values))
         expected = _digest(MultiVersionFactTable.build(schema))
@@ -652,7 +786,8 @@ class TestSharedRowParts:
 class TestMemory:
     def test_build_retains_little_per_cell(self):
         """Cells are columns over interned parts, not row objects: 11k
-        cells retain well under 2 MB (row objects took about 6 MB)."""
+        cells, every slot filled, retain well under 2 MB (row objects
+        took about 6 MB)."""
         schema = generate_workload(
             WorkloadConfig(seed=0, n_departments=100, n_years=10)
         ).schema
@@ -660,7 +795,7 @@ class TestMemory:
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            table = MultiVersionFactTable.build(schema)
+            table = _filled(MultiVersionFactTable.build(schema))
             gc.collect()
             retained = tracemalloc.get_traced_memory()[0] - base
         finally:

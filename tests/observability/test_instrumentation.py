@@ -240,8 +240,9 @@ class TestStorage:
 
 
 class TestInference:
-    """The ``mvft.build`` span counts the contributions the kernel emits
-    as column blocks and those it folds into shared cells one by one."""
+    """Each mode fill's ``mvft.build`` span counts the contributions the
+    kernel emits as column blocks and those it folds into shared cells
+    one by one."""
 
     @staticmethod
     def _merge_schema():
@@ -265,11 +266,17 @@ class TestInference:
 
     @staticmethod
     def _counts(schema):
+        """Both counts, summed over the fills of every version mode."""
         tracer = Tracer()
         with instrumented(tracer=tracer):
-            MultiVersionFactTable.build(schema)
-        (span,) = tracer.find("mvft.build")
-        return span.attributes["cells_blocked"], span.attributes["cells_folded"]
+            MultiVersionFactTable.build(schema).unmapped  # fills every mode
+        full, *fills = (span.attributes for span in tracer.find("mvft.build"))
+        assert full["kind"] == "full"
+        assert [fill["kind"] for fill in fills] == ["mode"] * 2
+        return (
+            sum(fill["cells_blocked"] for fill in fills),
+            sum(fill["cells_folded"] for fill in fills),
+        )
 
     def test_blocked_and_folded_cells(self):
         # In each mode, s's two facts are a block.  Before 10, a and b each

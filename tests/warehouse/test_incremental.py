@@ -301,7 +301,8 @@ class _History:
 
 class TestDerivedEqualsRebuiltProperty:
     """Derived tables are byte-identical to full inference, and cached
-    answers equal uncached ones, over seeded random histories."""
+    answers equal uncached ones, over seeded random histories whose
+    tables have a random subset of their version modes filled."""
 
     STEPS = 14
 
@@ -312,6 +313,7 @@ class TestDerivedEqualsRebuiltProperty:
         cache = VersionedResultCache()
         with instrumented(metrics=MetricsRegistry()) as (_, metrics):
             for _ in range(self.STEPS):
+                self.fill_some(table, history.rng)
                 step = history.rng.choice(
                     ["append", "append", "append", "rollback", "evolve"]
                 )
@@ -320,17 +322,28 @@ class TestDerivedEqualsRebuiltProperty:
                     # next refresh must notice the prefix it folded is gone.
                     history.begin_doomed()
                     table = table.refreshed()
+                    self.fill_some(table, history.rng)
                     history.rollback()
                     history.append()
                 else:
                     getattr(history, step)()
                 if history.rng.random() < 0.7:
-                    table = table.refreshed()
-                    self.check(history.schema, table, cache)
+                    # The check fills every slot, so it reads a sibling
+                    # derived from the same parent and the kept table
+                    # stays partly filled.
+                    parent, table = table, table.refreshed()
+                    self.check(history.schema, parent.refreshed(), cache)
             table = table.refreshed()
             self.check(history.schema, table, cache)
             builds = metrics.snapshot()["counters"]
         assert builds.get('mvft.builds{kind="derived"}', 0) > 0
+
+    @staticmethod
+    def fill_some(table, rng):
+        """Fill a random subset of ``table``'s version modes."""
+        labels = [mode.label for mode in table.modes.version_modes]
+        for label in rng.sample(labels, rng.randint(0, len(labels))):
+            table.slice(label)
 
     @staticmethod
     def check(schema, table, cache):
