@@ -80,11 +80,12 @@ class SchemaSnapshot:
     def mvft(self):
         """The snapshot's MultiVersion fact table, inferred once.
 
-        The snapshot is immutable, so the (expensive) Definition 11
-        inference can run once and be shared by every cursor pinned to
-        this version — and, because the table is stamped with the
-        snapshot's commit version, result-cache entries computed by one
-        session serve every other session on the same snapshot.
+        The snapshot is immutable, so the table is built once and shared
+        by every cursor pinned to this version: a version mode the table
+        infers on its first read serves every later reader — and,
+        because the table is stamped with the snapshot's commit version,
+        result-cache entries computed by one session serve every other
+        session on the same snapshot.
         """
         with self._mvft_lock:
             if self._mvft is None:
