@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .errors import QueryError
-from .versions import StructureVersion
+from .versions import StructureVersion, levels_across
 
 __all__ = ["TCM_LABEL", "PresentationMode", "ModeSet", "build_modes"]
 
@@ -86,6 +86,10 @@ class ModeSet:
     def version_modes(self) -> list[PresentationMode]:
         """The structure-version modes, chronological."""
         return [m for m in self._modes.values() if not m.is_tcm]
+
+    def level_names(self, did: str) -> list[str]:
+        """Level names of dimension ``did`` across every version mode."""
+        return levels_across((m.version for m in self.version_modes), did)
 
     def mode(self, label: str) -> PresentationMode:
         """Look up a mode by label."""

@@ -15,7 +15,7 @@ cut history at them, and restrict each dimension to each maximal span.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 from .chronology import NOW, Instant, Interval
 from .dimension import TemporalDimension
@@ -24,7 +24,7 @@ from .errors import ModelError
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .schema import TemporalMultidimensionalSchema
 
-__all__ = ["StructureVersion", "infer_structure_versions"]
+__all__ = ["StructureVersion", "infer_structure_versions", "levels_across"]
 
 
 @dataclass(frozen=True)
@@ -63,6 +63,19 @@ class StructureVersion:
         dim = self.dimension(did)
         snap = dim.at(self.valid_time.start)
         return frozenset(snap.leaves())
+
+    def level_names(self, did: str) -> list[str]:
+        """The Definition 4 level names of ``did`` in first-seen member
+        order.  Every member of a restriction is valid at the span's
+        start, so explicit ``level`` fields are read off the members;
+        depth levels still need the ``D(t)`` snapshot's DAG."""
+        dim = self.dimension(did)
+        names: dict[str, None] = {}
+        for mv in dim.members.values():
+            if mv.level is None:
+                return list(dim.at(self.valid_time.start).levels())
+            names[mv.level] = None
+        return list(names)
 
     def member_ids(self, did: str) -> frozenset[str]:
         """Ids of every member version of ``did`` valid in this version."""
@@ -128,3 +141,12 @@ def infer_structure_versions(
             )
         )
     return versions
+
+
+def levels_across(versions: Iterable[StructureVersion], did: str) -> list[str]:
+    """Level names of ``did`` across ``versions``, in first-seen order —
+    levels evolve, and a level any version knows is a valid name."""
+    names: dict[str, None] = {}
+    for version in versions:
+        names.update(dict.fromkeys(version.level_names(did)))
+    return list(names)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 
 from repro.core.schema import TemporalMultidimensionalSchema
-from repro.core.versions import StructureVersion
+from repro.core.versions import StructureVersion, levels_across
 from repro.storage import Column, Database, TEXT, Table
 
 __all__ = ["snowflake_level_table", "snowflake_edge_table", "lower_snowflake"]
@@ -47,14 +47,11 @@ def lower_snowflake(
     tables: dict[str, Table] = {}
     level_of_member: dict[tuple[str, str], str] = {}
 
-    level_names: list[str] = []
-    snapshots = {}
-    for version in versions:
-        snap = version.dimension(did).at(version.valid_time.start)
-        snapshots[version.vsid] = snap
-        for level in snap.levels():
-            if level not in level_names:
-                level_names.append(level)
+    level_names = levels_across(versions, did)
+    snapshots = {
+        version.vsid: version.dimension(did).at(version.valid_time.start)
+        for version in versions
+    }
 
     for level in level_names:
         name = snowflake_level_table(did, level)

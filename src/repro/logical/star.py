@@ -19,7 +19,7 @@ import re
 
 from repro.core.chronology import NowType
 from repro.core.schema import TemporalMultidimensionalSchema
-from repro.core.versions import StructureVersion
+from repro.core.versions import StructureVersion, levels_across
 from repro.storage import Column, Database, INTEGER, TEXT, Table
 
 __all__ = ["level_column", "star_table_name", "lower_star"]
@@ -50,14 +50,11 @@ def lower_star(
     NULL when open-ended) and one nullable TEXT column per level name seen
     in any version.
     """
-    level_names: list[str] = []
-    snapshots = {}
-    for version in versions:
-        snap = version.dimension(did).at(version.valid_time.start)
-        snapshots[version.vsid] = (version, snap)
-        for level in snap.levels():
-            if level not in level_names:
-                level_names.append(level)
+    level_names = levels_across(versions, did)
+    snapshots = {
+        version.vsid: (version, version.dimension(did).at(version.valid_time.start))
+        for version in versions
+    }
 
     columns = [
         Column("vsid", TEXT),

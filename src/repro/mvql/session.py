@@ -150,10 +150,11 @@ class MVQLSession:
                     f"unknown dimension {term.dimension!r} "
                     f"(available: {self.schema.dimension_ids})"
                 )
-            if term.level not in self._levels_of(term.dimension):
+            levels = self.mvft.modes.level_names(term.dimension)
+            if term.level not in levels:
                 raise MVQLCompileError(
                     f"dimension {term.dimension!r} has no level {term.level!r} "
-                    f"(available: {self._levels_of(term.dimension)})"
+                    f"(available: {levels})"
                 )
             group_by.append(LevelGroup(term.dimension, term.level))
         time_range = None
@@ -167,10 +168,11 @@ class MVQLSession:
                     f"unknown dimension {term.dimension!r} in WHERE "
                     f"(available: {self.schema.dimension_ids})"
                 )
-            if term.level not in self._levels_of(term.dimension):
+            levels = self.mvft.modes.level_names(term.dimension)
+            if term.level not in levels:
                 raise MVQLCompileError(
                     f"dimension {term.dimension!r} has no level {term.level!r} "
-                    f"in WHERE (available: {self._levels_of(term.dimension)})"
+                    f"in WHERE (available: {levels})"
                 )
             filters.append(
                 LevelFilter(term.dimension, term.level, term.values)
@@ -182,17 +184,6 @@ class MVQLSession:
             time_range=time_range,
             level_filters=tuple(filters),
         )
-
-    def _levels_of(self, did: str) -> list[str]:
-        levels: list[str] = []
-        for mode in self.mvft.modes.version_modes:
-            version = mode.version
-            assert version is not None
-            snap = version.dimension(did).at(version.valid_time.start)
-            for level in snap.levels():
-                if level not in levels:
-                    levels.append(level)
-        return levels
 
     # -- execution ----------------------------------------------------------------
 
@@ -269,7 +260,7 @@ class MVQLSession:
                     f"unknown dimension {did!r} "
                     f"(available: {self.schema.dimension_ids})"
                 )
-            return self._levels_of(did)
+            return self.mvft.modes.level_names(did)
         raise MVQLCompileError(f"unsupported statement {statement!r}")
 
     def execute_to_text(self, text: str) -> str:

@@ -89,19 +89,6 @@ class AggregateLattice:
 
     # -- node computation -----------------------------------------------------------
 
-    def _level_names(self) -> dict[str, list[str]]:
-        out: dict[str, list[str]] = {}
-        for mode in self.mvft.modes.version_modes:
-            version = mode.version
-            assert version is not None
-            for did in self.schema.dimension_ids:
-                snap = version.dimension(did).at(version.valid_time.start)
-                bucket = out.setdefault(did, [])
-                for level in snap.levels():
-                    if level not in bucket:
-                        bucket.append(level)
-        return out
-
     def _node_result(
         self, mode: str, granularity: Granularity, dimension: str, level: str
     ) -> ResultTable:
@@ -167,8 +154,11 @@ class AggregateLattice:
     def _walk_nodes(self):
         """Force every node and yield ``(key, projected_node)`` pairs."""
         self._refresh()
-        levels_by_dim = self._level_names()
-        for mode in self.mvft.modes.labels:
+        modes = self.mvft.modes
+        levels_by_dim = {
+            did: modes.level_names(did) for did in self.schema.dimension_ids
+        }
+        for mode in modes.labels:
             for gran in self.granularities:
                 for did, levels in levels_by_dim.items():
                     for level in levels:

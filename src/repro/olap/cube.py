@@ -304,9 +304,7 @@ class Cube:
         last = version_modes[-1].version
         assert last is not None
         for did in self.schema.dimension_ids:
-            snap = last.dimension(did).at(last.valid_time.start)
-            for level in snap.levels():
-                axes.append(LevelAxis(did, level))
+            axes.extend(LevelAxis(did, level) for level in last.level_names(did))
         return axes
 
     def _view_key(

@@ -296,7 +296,7 @@ class TransactionManager:
         # dump or a catalog record).  A reopened journal starts empty and
         # re-catalogs lazily — catalog replay is idempotent.
         self._cataloged: set[str] = set()
-        if self.wal is not None and not self.wal.records():
+        if self.wal is not None and self.wal.last_lsn == 0:
             self._write_checkpoint()
         self.editor = TransactionalEditor(schema, self)
         self.evolution = EvolutionManager(schema, editor=self.editor)

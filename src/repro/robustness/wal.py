@@ -371,6 +371,8 @@ class WriteAheadJournal:
             raise WALError(f"unknown WAL record kind {kind!r}")
         if self._file.closed:
             raise WALError(f"{self.path}: journal is closed")
+        if "crc" in fields:
+            raise WALError("a WAL record's crc field is computed, not supplied")
         if self.fault_injector is not None:
             self.fault_injector.fire("wal.append")
         record = {"lsn": self._next_lsn, "format": WAL_FORMAT, "kind": kind}
@@ -380,8 +382,10 @@ class WriteAheadJournal:
         except TypeError as exc:
             raise WALError(f"WAL record is not JSON-serializable: {exc}") from exc
         if self.checksum:
-            record["crc"] = zlib.crc32(line.encode("utf-8"))
-            line = json.dumps(record, separators=(",", ":"))
+            # ``crc`` is the last key and the separators are compact, so
+            # splicing it in before the closing brace yields exactly the
+            # bytes a second ``json.dumps`` with the field would.
+            line = f'{line[:-1]},"crc":{zlib.crc32(line.encode("utf-8"))}}}'
         metrics = self._metrics_now()
         self._file.write(line + "\n")
         self._file.flush()
@@ -435,12 +439,16 @@ class WriteAheadJournal:
         ``dump()`` method, i.e. :class:`~repro.storage.database.Database`
         or its snapshot); its dump is embedded in the record so warehouse
         recovery — and journal compaction via :meth:`truncate_before` —
-        has a row-level baseline to replay from.
+        has a row-level baseline to replay from.  Traced as one
+        ``wal.checkpoint`` span whose ``bytes`` is the written line.
         """
-        fields: dict[str, Any] = {"schema": schema_to_dict(schema)}
-        if database is not None:
-            fields["database"] = database.dump()
-        lsn = self.append("checkpoint", **fields)
+        with _obs.current_tracer().span("wal.checkpoint") as span:
+            fields: dict[str, Any] = {"schema": schema_to_dict(schema)}
+            if database is not None:
+                fields["database"] = database.dump()
+            before = self._bytes
+            lsn = self.append("checkpoint", **fields)
+            span.set("bytes", self._bytes - before)
         self.last_checkpoint_lsn = lsn
         metrics = self._metrics_now()
         if metrics.enabled:

@@ -135,15 +135,7 @@ class RLSPolicy:
                     f"RLS rule references unknown dimension "
                     f"{rule.dimension!r} (available: {schema.dimension_ids})"
                 )
-            levels: list[str] = []
-            for mode in mvft.modes.version_modes:
-                version = mode.version
-                snap = version.dimension(rule.dimension).at(
-                    version.valid_time.start
-                )
-                for level in snap.levels():
-                    if level not in levels:
-                        levels.append(level)
+            levels = mvft.modes.level_names(rule.dimension)
             if rule.level not in levels:
                 raise RLSConfigError(
                     f"RLS rule references unknown level {rule.level!r} of "

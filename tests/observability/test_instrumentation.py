@@ -206,6 +206,14 @@ class TestTransactions:
                 raise RuntimeError("abort")
         assert metrics.snapshot()["counters"]["txn.rolled_back"] == 1
 
+    def test_checkpoint_span_carries_its_bytes(self, tmp_path):
+        path = tmp_path / "txn.wal"
+        tracer = Tracer()
+        with instrumented(tracer=tracer):
+            TransactionManager(build_case_study().schema, wal=path).wal.close()
+        (span,) = tracer.find("wal.checkpoint")
+        assert span.attributes["bytes"] == path.stat().st_size > 0
+
 
 class TestSnapshotManager:
     def test_mvcc_counters(self):

@@ -1,0 +1,141 @@
+"""The exact bytes of a journal line.
+
+An append encodes its record once and splices the CRC in before the
+closing brace.  These tests pin that the result is the format journals
+have always had: the compact JSON of the record with ``crc`` as its last
+field, where ``crc`` is the CRC32 of the same JSON without it.
+"""
+
+import json
+
+import pytest
+
+from repro.core import (
+    SUM,
+    Interval,
+    Measure,
+    MemberVersion,
+    TemporalDimension,
+    TemporalMultidimensionalSchema,
+)
+from repro.robustness import TransactionManager, WALError, WriteAheadJournal
+from repro.robustness.wal import WAL_FORMAT, record_crc
+
+from .conftest import build_schema
+
+
+def expected_line(record, checksum=True):
+    """The line the journal format prescribes for ``record``."""
+    if checksum:
+        record = {**record, "crc": record_crc(record)}
+    return json.dumps(record, separators=(",", ":"))
+
+
+@pytest.fixture()
+def captured(monkeypatch):
+    """Every record appended, as ``{"lsn", "format", "kind", **fields}``."""
+    records = []
+    original = WriteAheadJournal.append
+
+    def spy(self, kind, **fields):
+        lsn = original(self, kind, **fields)
+        records.append({"lsn": lsn, "format": WAL_FORMAT, "kind": kind, **fields})
+        return lsn
+
+    monkeypatch.setattr(WriteAheadJournal, "append", spy)
+    return records
+
+
+def written_lines(path):
+    return path.read_text(encoding="utf-8").splitlines()
+
+
+def unicode_schema():
+    d = TemporalDimension("Org")
+    d.add_member(MemberVersion("idP", "Société Générale", Interval(0), level="Division"))
+    d.add_member(MemberVersion("idQ", "東京 — Zürich ✓", Interval(0), level="Division"))
+    return TemporalMultidimensionalSchema([d], [Measure("m", SUM)])
+
+
+class TestLineBytes:
+    def test_manager_records_match_the_format(self, tmp_path, captured):
+        path = tmp_path / "j.wal"
+        txm = TransactionManager(build_schema(), wal=path)
+        with txm.transaction():
+            txm.evolution.create_member("Org", "idX", "Ünïcødé", 5, parents=["idP1"])
+            txm.add_fact({"Org": "idV1"}, 3, {"m": -0.0})
+            txm.add_fact({"Org": "idV2"}, 4, {"m": 1e-7}, source="ß.csv#0")
+            txm.add_fact({"Org": "idV"}, 4, {"m": 5e-324})
+        kinds = {record["kind"] for record in captured}
+        assert {"checkpoint", "begin", "op", "fact", "commit"} <= kinds
+        lines = written_lines(path)
+        assert lines == [expected_line(record) for record in captured]
+        assert [r["lsn"] for r in txm.wal.records()] == [r["lsn"] for r in captured]
+
+    def test_checkpoint_of_non_ascii_schema(self, tmp_path, captured):
+        path = tmp_path / "j.wal"
+        with WriteAheadJournal(path) as wal:
+            wal.checkpoint(unicode_schema())
+        (line,) = written_lines(path)
+        assert line == expected_line(captured[0])
+        assert "\\u00e9" in line  # ASCII-escaped, as json.dumps defaults to
+
+    def test_float_edge_values_round_trip(self, tmp_path, captured):
+        path = tmp_path / "j.wal"
+        values = {"zero": -0.0, "tiny": 5e-324, "small": 1e-7, "third": 1 / 3}
+        with WriteAheadJournal(path) as wal:
+            wal.fact(1, {"Org": "idV"}, 0, values)
+        (line,) = written_lines(path)
+        assert line == expected_line(captured[0])
+        (record,) = WriteAheadJournal(path).records()
+        assert record["values"] == values
+        assert str(record["values"]["zero"]) == "-0.0"
+
+    def test_without_checksums_no_crc_field(self, tmp_path, captured):
+        path = tmp_path / "j.wal"
+        with WriteAheadJournal(path, checksum=False) as wal:
+            wal.checkpoint(unicode_schema())
+            wal.begin(1)
+            wal.fact(1, {"Org": "idP"}, 0, {"m": -0.0})
+            wal.commit(1)
+        lines = written_lines(path)
+        assert lines == [expected_line(r, checksum=False) for r in captured]
+        assert all('"crc"' not in line for line in lines)
+        assert len(WriteAheadJournal(path).records()) == 4
+
+    def test_every_line_verifies(self, tmp_path):
+        path = tmp_path / "j.wal"
+        with WriteAheadJournal(path) as wal:
+            wal.checkpoint(unicode_schema())
+            wal.begin(1)
+            wal.fact(1, {"Org": "idQ"}, 2, {"m": 1e-7})
+            wal.commit(1)
+        records = WriteAheadJournal(path).records()
+        assert len(records) == 4
+        for record in records:
+            assert list(record)[-1] == "crc"
+            assert record["crc"] == record_crc(record)
+
+    def test_caller_supplied_crc_is_rejected(self, tmp_path):
+        path = tmp_path / "j.wal"
+        with WriteAheadJournal(path) as wal:
+            with pytest.raises(WALError, match="crc"):
+                wal.append("begin", txid=1, crc=0)
+            assert wal.last_lsn == 0
+        assert written_lines(path) == []
+
+
+class TestReopen:
+    def test_manager_over_reopened_journal_adds_no_checkpoint(self, tmp_path):
+        path = tmp_path / "j.wal"
+        TransactionManager(build_schema(), wal=path).wal.close()
+        before = path.read_bytes()
+        txm = TransactionManager(build_schema(), wal=path)
+        assert path.read_bytes() == before
+        assert [r["kind"] for r in txm.wal.records()] == ["checkpoint"]
+
+    def test_manager_over_empty_journal_checkpoints(self, tmp_path):
+        path = tmp_path / "j.wal"
+        path.write_text("")
+        txm = TransactionManager(build_schema(), wal=path)
+        assert [r["kind"] for r in txm.wal.records()] == ["checkpoint"]
