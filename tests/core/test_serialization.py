@@ -156,3 +156,22 @@ class TestLimits:
         path.write_text(json.dumps(payload))
         with pytest.raises(Exception):
             load_schema(path)
+
+
+class TestPinnedBytes:
+    """``schema_to_dict`` is hashed by snapshot fingerprints and by the
+    layer benchmark's input fingerprint, so its bytes must not drift."""
+
+    def test_400_department_generator_schema(self):
+        import hashlib
+
+        from repro.workloads.generator import WorkloadConfig, generate_workload
+
+        schema = generate_workload(
+            WorkloadConfig(seed=1, n_departments=400, n_years=10, start_year=2000)
+        ).schema
+        blob = json.dumps(schema_to_dict(schema), separators=(",", ":")).encode()
+        assert len(blob) == 369029
+        assert hashlib.sha256(blob).hexdigest() == (
+            "adf8b8fc7c27852f54d0b6d4277ca24f47a986330c0031f58ab93099a9944f3d"
+        )
