@@ -14,8 +14,10 @@ and support non-onto, non-covering and multiple hierarchies.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Any, Mapping
+from typing import Any, Mapping, Sequence
 
 from .chronology import Instant, Interval, critical_instants
 from .errors import (
@@ -201,10 +203,10 @@ class TemporalDimension:
 
     The dimension accumulates member versions and temporal relationships;
     :meth:`at` materializes the ``D(t)`` snapshot (checked to be a DAG) and
-    :meth:`restrict` produces the Definition 9 restriction to a structure
-    version's valid time.  Mutation happens through :meth:`add_member`,
-    :meth:`add_relationship` and the truncation helpers used by the §3.2
-    evolution operators.
+    :meth:`restrict` / :meth:`restrictions` produce the Definition 9
+    restrictions to structure versions' valid times.  Mutation happens
+    through :meth:`add_member`, :meth:`add_relationship` and the truncation
+    helpers used by the §3.2 evolution operators.
     """
 
     def __init__(self, did: str, name: str | None = None) -> None:
@@ -417,25 +419,57 @@ class TemporalDimension:
 
     def restrict(self, interval: Interval) -> "TemporalDimension":
         """The Definition 9 restriction: keep only elements valid over the
-        *whole* ``interval``.  Returns a new dimension ``D_i,VSid``.
+        *whole* ``interval``.  Returns a new dimension ``D_i,VSid``."""
+        return self.restrictions([interval])[0]
+
+    def restrictions(self, spans: Sequence[Interval]) -> list["TemporalDimension"]:
+        """The Definition 9 restriction to each of ``spans``, in one sweep.
+
+        ``spans`` must be sorted and pairwise disjoint.  An element is then
+        valid throughout a contiguous run of them: the spans starting at
+        or after its start (a suffix) that also end at or before its end
+        (a prefix), which two bisects find.  So each member version and
+        relationship is looked at once, however many spans there are, and
+        each restriction takes one fresh token.
 
         The kept relationships are not validated again: every way into
         this dimension's members and relationships checks Definition 2,
         and the kept ones link the same member versions."""
-        restricted = TemporalDimension(self.did, self.name)
-        for mv in self._members.values():
-            if mv.valid_throughout(interval):
-                restricted.add_member(mv)
-        restricted._relationships = [
-            rel
-            for rel in self._relationships
-            if rel.valid_throughout(interval)
-            and rel.child in restricted
-            and rel.parent in restricted
-        ]
-        restricted._reindex()
-        restricted._token = next_token()
-        return restricted
+        for before, after in zip(spans, spans[1:]):
+            if before.open_ended or after.start <= before.end:  # type: ignore[operator]
+                raise ModelError(
+                    f"restriction spans must be sorted and disjoint; "
+                    f"{after!r} follows {before!r}"
+                )
+        starts = [span.start for span in spans]
+        ends = [math.inf if span.open_ended else span.end for span in spans]
+
+        def throughout(valid_time: Interval) -> range:
+            """Indexes of the spans ``valid_time`` covers."""
+            lo = bisect_left(starts, valid_time.start)
+            if valid_time.open_ended:
+                return range(lo, len(spans))
+            return range(lo, bisect_right(ends, valid_time.end))
+
+        members: list[dict[str, MemberVersion]] = [{} for _ in spans]
+        for mvid, mv in self._members.items():
+            for j in throughout(mv.valid_time):
+                members[j][mvid] = mv
+        relationships: list[list[TemporalRelationship]] = [[] for _ in spans]
+        for rel in self._relationships:
+            for j in throughout(rel.valid_time):
+                kept = members[j]
+                if rel.child in kept and rel.parent in kept:
+                    relationships[j].append(rel)
+
+        out: list[TemporalDimension] = []
+        for kept, rels in zip(members, relationships):
+            restricted = TemporalDimension(self.did, self.name)
+            restricted._members = kept
+            restricted._relationships = rels
+            restricted._reindex()
+            out.append(restricted)
+        return out
 
     def critical_instants(self) -> list[Instant]:
         """Instants at which this dimension's structure can change."""

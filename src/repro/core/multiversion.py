@@ -644,6 +644,7 @@ class MultiVersionFactTable:
             args = dict(horizon=horizon, max_hops=max_hops)
             basis = _Basis(token, facts, schema.structure_token(), args)
             span.set("facts", len(facts)).set("rows", len(facts))
+            span.set("structure_versions", len(modes) - 1)
             return cls(schema, modes, basis, _Parts(schema.measure_names), {})
 
     def refreshed(self) -> "MultiVersionFactTable":

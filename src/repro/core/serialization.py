@@ -4,7 +4,9 @@ A TMD schema is a model artifact worth versioning next to the data it
 describes; this module round-trips the whole conceptual state — member
 versions (with attributes and valid times), temporal relationships,
 measures, mapping relationships and the consistent fact table — through a
-single JSON document.
+single JSON document.  Format 1 (:func:`schema_to_dict`) holds one object
+per fact row; format 2 (:func:`schema_to_columns`, what the write-ahead
+journal checkpoints) holds the fact table as one list per column.
 
 Limits, stated loudly rather than discovered late:
 
@@ -18,8 +20,9 @@ Limits, stated loudly rather than discovered late:
 from __future__ import annotations
 
 import json
+from operator import attrgetter, itemgetter
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterator
 
 from .chronology import Interval, NOW, NowType
 from .confidence import DEFAULT_AGGREGATOR, factor_from_code
@@ -39,6 +42,7 @@ from .dimension import TemporalDimension
 __all__ = [
     "SerializationError",
     "schema_to_dict",
+    "schema_to_columns",
     "schema_from_dict",
     "save_schema",
     "load_schema",
@@ -49,6 +53,7 @@ __all__ = [
 ]
 
 FORMAT_VERSION = 1
+COLUMNS_FORMAT = 2
 
 _AGGREGATES = {"sum": SUM, "min": MIN, "max": MAX, "count": COUNT, "avg": AVG}
 
@@ -103,8 +108,9 @@ measure_map_to_json = _measure_map_to_json
 measure_map_from_json = _measure_map_from_json
 
 
-def schema_to_dict(schema: TemporalMultidimensionalSchema) -> dict[str, Any]:
-    """Serialize a schema to a JSON-compatible dictionary."""
+def _structure_to_dict(schema: TemporalMultidimensionalSchema) -> dict[str, Any]:
+    """Everything but the facts: dimensions, measures and mappings, in the
+    key order both payload formats share."""
     if schema.cf_aggregator is not DEFAULT_AGGREGATOR:
         raise SerializationError(
             "only the default (Example 5) confidence aggregate serializes"
@@ -168,7 +174,13 @@ def schema_to_dict(schema: TemporalMultidimensionalSchema) -> dict[str, Any]:
                 },
             }
         )
+    return {"dimensions": dimensions, "measures": measures, "mappings": mappings}
 
+
+def schema_to_dict(schema: TemporalMultidimensionalSchema) -> dict[str, Any]:
+    """Serialize a schema to a JSON-compatible dictionary (format 1: one
+    object per fact row)."""
+    payload: dict[str, Any] = {"format": FORMAT_VERSION, **_structure_to_dict(schema)}
     facts = []
     for row in schema.facts:
         fact_payload = {
@@ -181,26 +193,76 @@ def schema_to_dict(schema: TemporalMultidimensionalSchema) -> dict[str, Any]:
         if row.source is not None:
             fact_payload["source"] = row.source
         facts.append(fact_payload)
+    payload["facts"] = facts
+    return payload
 
-    return {
-        "format": FORMAT_VERSION,
-        "dimensions": dimensions,
-        "measures": measures,
-        "mappings": mappings,
-        "facts": facts,
+
+def schema_to_columns(schema: TemporalMultidimensionalSchema) -> dict[str, Any]:
+    """Serialize a schema with its fact table as columns (format 2).
+
+    Dimensions, measures and mappings are :func:`schema_to_dict`'s; the
+    facts are one list per column — ``t``, one per dimension under
+    ``coordinates``, one per measure under ``values``, and ``source``
+    only when some row has one — so the payload holds no per-fact
+    object.  The write-ahead journal checkpoints in this format;
+    :func:`schema_from_dict` reads both.  A row's coordinates and values
+    come back keyed in declaration order, whatever order they were
+    given in, so the two formats agree under ``sort_keys``.
+    """
+    payload: dict[str, Any] = {"format": COLUMNS_FORMAT, **_structure_to_dict(schema)}
+    rows = list(schema.facts.rows())
+    coordinates = list(map(attrgetter("coordinates"), rows))
+    values = list(map(attrgetter("values"), rows))
+    facts: dict[str, Any] = {
+        "t": list(map(attrgetter("t"), rows)),
+        "coordinates": {
+            did: list(map(itemgetter(did), coordinates))
+            for did in schema.facts.dimensions
+        },
+        "values": {
+            name: list(map(itemgetter(name), values))
+            for name in schema.facts.measure_names
+        },
     }
+    sources = list(map(attrgetter("source"), rows))
+    if any(source is not None for source in sources):
+        facts["source"] = sources
+    payload["facts"] = facts
+    return payload
+
+
+def _fact_rows(
+    facts: dict[str, Any],
+) -> Iterator[tuple[dict[str, str], Any, dict[str, Any], str | None]]:
+    """``(coordinates, t, values, source)`` of each row of a format-2
+    fact table, after checking every column has one entry per row."""
+    ts = facts["t"]
+    coordinates, values = facts["coordinates"], facts["values"]
+    sources = facts.get("source", [None] * len(ts))
+    columns = [*coordinates.values(), *values.values(), sources]
+    if not coordinates or not values or any(len(c) != len(ts) for c in columns):
+        raise SerializationError(
+            f"fact columns must hold a column per dimension and per measure, "
+            f"each with one entry per row ({len(ts)})"
+        )
+    dids, names = list(coordinates), list(values)
+    for t, leaves, row_values, source in zip(
+        ts, zip(*coordinates.values()), zip(*values.values()), sources
+    ):
+        yield dict(zip(dids, leaves)), t, dict(zip(names, row_values)), source
 
 
 def schema_from_dict(payload: dict[str, Any]) -> TemporalMultidimensionalSchema:
-    """Rebuild a schema from :func:`schema_to_dict` output.
+    """Rebuild a schema from :func:`schema_to_dict` (format 1) or
+    :func:`schema_to_columns` (format 2) output.
 
     The rebuilt schema is fully validated (dimension invariants, fact
     leaf/validity constraints, mapping endpoints) before being returned.
     """
-    if payload.get("format") != FORMAT_VERSION:
+    if payload.get("format") not in (FORMAT_VERSION, COLUMNS_FORMAT):
         raise SerializationError(
             f"unsupported schema format {payload.get('format')!r} "
-            f"(expected {FORMAT_VERSION})"
+            f"(expected {FORMAT_VERSION} or {COLUMNS_FORMAT})"
         )
     dimensions = []
     for dim_payload in payload["dimensions"]:
@@ -253,13 +315,17 @@ def schema_from_dict(payload: dict[str, Any]) -> TemporalMultidimensionalSchema:
             allow_non_leaf=True,  # §4.2 rewrites may have inner-node links
         )
 
-    for fact in payload["facts"]:
-        schema.add_fact(
-            fact["coordinates"],
-            fact["t"],
-            fact["values"],
-            source=fact.get("source"),
-        )
+    if payload["format"] == COLUMNS_FORMAT:
+        for coordinates, t, values, source in _fact_rows(payload["facts"]):
+            schema.add_fact(coordinates, t, values, source=source)
+    else:
+        for fact in payload["facts"]:
+            schema.add_fact(
+                fact["coordinates"],
+                fact["t"],
+                fact["values"],
+                source=fact.get("source"),
+            )
 
     schema.validate()
     return schema

@@ -9,7 +9,8 @@ The paper notes structure versions "partition history and … can be inferred
 from the TMD Schema, as the intersections of the valid time intervals of all
 Member Versions and Temporal Relationships".  :func:`infer_structure_versions`
 implements exactly that: collect the critical instants of every dimension,
-cut history at them, and restrict each dimension to each maximal span.
+cut history at them, and restrict each dimension to every maximal span in
+one sweep (:meth:`TemporalDimension.restrictions`).
 """
 
 from __future__ import annotations
@@ -126,12 +127,13 @@ def infer_structure_versions(
             spans.append(Interval(start, horizon))
         # else: the final cut is just past the last closed end — empty span.
 
+    per_dimension = {
+        did: dim.restrictions(spans) for did, dim in schema.dimensions.items()
+    }
     versions: list[StructureVersion] = []
-    for span in spans:
-        restricted = {
-            did: dim.restrict(span) for did, dim in schema.dimensions.items()
-        }
-        if not any(len(dim.members) for dim in restricted.values()):
+    for j, span in enumerate(spans):
+        restricted = {did: dims[j] for did, dims in per_dimension.items()}
+        if not any(map(len, restricted.values())):
             continue
         versions.append(
             StructureVersion(

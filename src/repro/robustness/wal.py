@@ -3,8 +3,9 @@
 Every transaction the :class:`~repro.robustness.transactions.TransactionManager`
 runs is journaled as a sequence of records, one JSON object per line:
 
-* ``checkpoint`` — a full schema snapshot (:func:`schema_to_dict`); recovery
-  starts from the most recent one;
+* ``checkpoint`` — a full schema snapshot, its fact table as columns
+  (:func:`~repro.core.serialization.schema_to_columns`); recovery starts
+  from the most recent one;
 * ``begin`` / ``commit`` / ``abort`` — transaction boundaries;
 * ``op`` — one basic operator (Insert/Exclude/Associate/Reclassify) with
   JSON-serialized arguments, appended *after* the operator succeeded in
@@ -24,6 +25,8 @@ runs is journaled as a sequence of records, one JSON object per line:
 Every record carries a per-record CRC32 over its serialized body
 (``checksum=False`` disables writing them; verification always happens when
 the field is present, so journals written by older versions stay readable).
+The CRC is checked on the line's own bytes before ``,"crc":``; a line in any
+other shape is checked by re-encoding its parsed record.
 
 Torn tails are expected: a crash mid-append leaves a final line that is not
 valid JSON.  :meth:`WriteAheadJournal.records` silently drops a torn *final*
@@ -58,7 +61,7 @@ from repro.core.schema import TemporalMultidimensionalSchema
 from repro.core.serialization import (
     measure_map_from_json,
     measure_map_to_json,
-    schema_to_dict,
+    schema_to_columns,
 )
 from repro.observability import runtime as _obs
 
@@ -148,6 +151,30 @@ def record_crc(record: dict[str, Any]) -> int:
     return zlib.crc32(json.dumps(body, separators=(",", ":")).encode("utf-8"))
 
 
+_CRC_FIELD = ',"crc":'
+
+
+def _crc_verifies(line: str, record: dict[str, Any]) -> bool:
+    """Whether ``record``'s stored ``crc`` matches, ``line`` being the
+    text it was parsed from.
+
+    An appended line is its body with ``,"crc":<n>`` spliced in before
+    the closing brace, so the CRC is checked on the body's own bytes
+    first — no re-encode.  A line in any other shape, or whose bytes do
+    not match, falls back to :func:`record_crc`, so every journal the
+    re-encode accepts still verifies.
+    """
+    cut = line.rfind(_CRC_FIELD)
+    if (
+        cut != -1
+        and line.endswith("}")
+        and line[cut + len(_CRC_FIELD):-1].isdigit()
+        and zlib.crc32(b"}", zlib.crc32(line[:cut].encode("utf-8"))) == record["crc"]
+    ):
+        return True
+    return record["crc"] == record_crc(record)
+
+
 def _scan_lines(
     lines: list[str],
     origin: str,
@@ -186,7 +213,7 @@ def _scan_lines(
                 reason = f"unknown record kind {record.get('kind')!r}"
             elif not isinstance(record.get("lsn"), int) or record["lsn"] <= last_lsn:
                 reason = f"non-monotonic LSN {record.get('lsn')!r}"
-            elif "crc" in record and record["crc"] != record_crc(record):
+            elif "crc" in record and not _crc_verifies(line, record):
                 reason = (
                     f"checksum mismatch (stored {record['crc']!r}, "
                     f"computed {record_crc(record)})"
@@ -207,11 +234,15 @@ def _scan_lines(
     return records, problems
 
 
-def _journal_lines(path: Path) -> list[str]:
-    lines = path.read_text(encoding="utf-8").split("\n")
+def _split_lines(text: str) -> list[str]:
+    lines = text.split("\n")
     if lines and lines[-1] == "":
         lines.pop()
     return lines
+
+
+def _journal_lines(path: Path) -> list[str]:
+    return _split_lines(path.read_text(encoding="utf-8"))
 
 
 class WriteAheadJournal:
@@ -219,8 +250,8 @@ class WriteAheadJournal:
 
     ``durable=True`` fsyncs after every append (the crash-safe setting);
     the default flushes only, which is what the benchmarks measure as the
-    baseline journaling tax.  Opening an existing journal scans it once to
-    continue the LSN and transaction-id sequences.
+    baseline journaling tax.  Opening an existing journal reads and scans
+    it once to continue the LSN and transaction-id sequences.
 
     ``checksum`` controls whether appends carry a per-record CRC32 (reads
     verify the field whenever present, regardless of this setting);
@@ -263,10 +294,12 @@ class WriteAheadJournal:
             # final line (crash mid-append) must be truncated away, or the
             # next append would concatenate onto the fragment and turn a
             # recoverable crash into mid-file corruption.
-            self._repair_tail()
+            lines = self._repair_tail()
             if corruption_policy == "quarantine":
-                self._quarantine_damage()
-            for record in self.records():
+                records = self._quarantine_damage(lines)
+            else:
+                records = self._scan(lines)
+            for record in records:
                 self._next_lsn = record["lsn"] + 1
                 txid = record.get("txid")
                 if isinstance(txid, int) and txid >= self._next_txid:
@@ -278,8 +311,9 @@ class WriteAheadJournal:
         self._bytes = self.path.stat().st_size if self.path.exists() else 0
         self._file = open(self.path, "a", encoding="utf-8")
 
-    def _repair_tail(self) -> None:
-        """Make the on-disk journal end in a complete, newline-terminated line.
+    def _repair_tail(self) -> list[str]:
+        """Make the on-disk journal end in a complete, newline-terminated
+        line, and return its lines — the one read of the file on open.
 
         A torn final line — invalid JSON after a crash mid-append — is
         truncated away (it is exactly what :meth:`records` drops, so the
@@ -289,27 +323,26 @@ class WriteAheadJournal:
         instead of dropped.
         """
         raw = self.path.read_bytes()
-        if not raw:
-            return
         body, sep, tail = raw.rpartition(b"\n")
-        if tail == b"":
-            return  # newline-terminated: nothing to repair
-        try:
-            json.loads(tail.decode("utf-8"))
-        except (ValueError, UnicodeDecodeError):
-            with open(self.path, "r+b") as handle:
-                handle.truncate(len(body) + len(sep))
-                handle.flush()
-                if self.durable:
-                    os.fsync(handle.fileno())
-        else:
-            with open(self.path, "ab") as handle:
-                handle.write(b"\n")
-                handle.flush()
-                if self.durable:
-                    os.fsync(handle.fileno())
+        if tail:
+            try:
+                json.loads(tail.decode("utf-8"))
+            except (ValueError, UnicodeDecodeError):
+                raw = body + sep
+                with open(self.path, "r+b") as handle:
+                    handle.truncate(len(raw))
+                    handle.flush()
+                    if self.durable:
+                        os.fsync(handle.fileno())
+            else:
+                with open(self.path, "ab") as handle:
+                    handle.write(b"\n")
+                    handle.flush()
+                    if self.durable:
+                        os.fsync(handle.fileno())
+        return _split_lines(raw.decode("utf-8"))
 
-    def _quarantine_damage(self) -> None:
+    def _quarantine_damage(self, lines: list[str]) -> list[dict[str, Any]]:
         """Apply the ``quarantine`` corruption policy on open.
 
         Everything from the first damaged line onwards moves into
@@ -319,13 +352,13 @@ class WriteAheadJournal:
         refusing the whole journal.  Records *after* the damage are
         sacrificed deliberately: with an unreadable line between them and
         the prefix there is no trustworthy LSN chain to splice them onto.
+        Returns the records of the valid prefix.
         """
-        lines = _journal_lines(self.path)
-        _, problems = _scan_lines(
+        records, problems = _scan_lines(
             lines, str(self.path), strict=False, stop_at_problem=True
         )
         if not problems:
-            return
+            return records
         first_bad = problems[0]["line"]  # 1-based
         quarantine = self.path.with_name(self.path.name + ".quarantine")
         with open(quarantine, "a", encoding="utf-8") as handle:
@@ -348,6 +381,7 @@ class WriteAheadJournal:
             metrics.counter("wal.quarantined_records").inc(self.quarantined_records)
             if problems[0]["checksum"]:
                 metrics.counter("wal.checksum_failures").inc()
+        return records
 
     def _metrics_now(self) -> Any:
         return self._metrics if self._metrics is not None else _obs.current_metrics()
@@ -440,15 +474,19 @@ class WriteAheadJournal:
         or its snapshot); its dump is embedded in the record so warehouse
         recovery — and journal compaction via :meth:`truncate_before` —
         has a row-level baseline to replay from.  Traced as one
-        ``wal.checkpoint`` span whose ``bytes`` is the written line.
+        ``wal.checkpoint`` span whose ``bytes`` is the written line and
+        ``facts`` the number of fact rows.  The ``schema`` payload is
+        format 2: the fact table as columns (see
+        :func:`~repro.core.serialization.schema_to_columns`).
         """
         with _obs.current_tracer().span("wal.checkpoint") as span:
-            fields: dict[str, Any] = {"schema": schema_to_dict(schema)}
+            fields: dict[str, Any] = {"schema": schema_to_columns(schema)}
             if database is not None:
                 fields["database"] = database.dump()
             before = self._bytes
             lsn = self.append("checkpoint", **fields)
             span.set("bytes", self._bytes - before)
+            span.set("facts", len(schema.facts))
         self.last_checkpoint_lsn = lsn
         metrics = self._metrics_now()
         if metrics.enabled:
@@ -697,8 +735,12 @@ class WriteAheadJournal:
         """
         if not self.path.exists():
             return []
+        return self._scan(_journal_lines(self.path))
+
+    def _scan(self, lines: list[str]) -> list[dict[str, Any]]:
+        """:func:`_scan_lines`, strict, counting a checksum failure."""
         try:
-            out, _ = _scan_lines(_journal_lines(self.path), str(self.path))
+            out, _ = _scan_lines(lines, str(self.path))
         except WALError as exc:
             if getattr(exc, "checksum_mismatch", False):
                 metrics = self._metrics_now()

@@ -490,7 +490,9 @@ class TestRefreshed:
             derived = table.refreshed()
             derived.slice("V2")
         full, fill, again, later = tracer.find("mvft.build")
-        assert full.attributes == {"kind": "full", "facts": 10, "rows": 10}
+        assert full.attributes == {
+            "kind": "full", "facts": 10, "rows": 10, "structure_versions": 3,
+        }
         assert fill.attributes == {
             "kind": "mode", "mode": "V1", "facts": 10, "rows": 9, "unmapped": 0,
             "cells_blocked": 6, "cells_folded": 4,

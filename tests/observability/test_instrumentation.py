@@ -213,6 +213,7 @@ class TestTransactions:
             TransactionManager(build_case_study().schema, wal=path).wal.close()
         (span,) = tracer.find("wal.checkpoint")
         assert span.attributes["bytes"] == path.stat().st_size > 0
+        assert span.attributes["facts"] == len(build_case_study().schema.facts) > 0
 
 
 class TestSnapshotManager:
@@ -280,6 +281,7 @@ class TestInference:
             MultiVersionFactTable.build(schema).unmapped  # fills every mode
         full, *fills = (span.attributes for span in tracer.find("mvft.build"))
         assert full["kind"] == "full"
+        assert full["structure_versions"] == 2
         assert [fill["kind"] for fill in fills] == ["mode"] * 2
         return (
             sum(fill["cells_blocked"] for fill in fills),

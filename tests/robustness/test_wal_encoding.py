@@ -7,6 +7,7 @@ field, where ``crc`` is the CRC32 of the same JSON without it.
 """
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -139,3 +140,69 @@ class TestReopen:
         path.write_text("")
         txm = TransactionManager(build_schema(), wal=path)
         assert [r["kind"] for r in txm.wal.records()] == ["checkpoint"]
+
+
+class TestOpen:
+    """Opening a journal reads it once and checks each CRC on the line's
+    own bytes; lines in any other shape fall back to the re-encode."""
+
+    def journal(self, path):
+        with WriteAheadJournal(path) as wal:
+            wal.checkpoint(unicode_schema())
+            wal.begin(1)
+            wal.fact(1, {"Org": "idQ"}, 2, {"m": 1e-7}, source="ß.csv#0")
+            wal.commit(1)
+        return path
+
+    def test_open_reads_the_file_once(self, tmp_path, monkeypatch):
+        path = self.journal(tmp_path / "j.wal")
+        reads = []
+        read_bytes, read_text = Path.read_bytes, Path.read_text
+        monkeypatch.setattr(
+            Path, "read_bytes", lambda self: reads.append("bytes") or read_bytes(self)
+        )
+        monkeypatch.setattr(
+            Path, "read_text",
+            lambda self, *a, **k: reads.append("text") or read_text(self, *a, **k),
+        )
+        wal = WriteAheadJournal(path)
+        wal.close()
+        assert reads == ["bytes"]
+        assert (wal.last_lsn, wal.last_checkpoint_lsn) == (4, 1)
+
+    def test_crc_checked_without_re_encoding(self, tmp_path, monkeypatch):
+        path = self.journal(tmp_path / "j.wal")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a well-formed line was re-encoded")
+
+        monkeypatch.setattr(json, "dumps", refuse)
+        assert len(WriteAheadJournal(path).records()) == 4
+
+    @pytest.mark.parametrize("line", [
+        # spaced separators: no ``,"crc":`` to split at
+        '{"lsn": 1, "format": 1, "kind": "begin", "txid": 1, "crc": CRC}',
+        # raw UTF-8 where the encoder escapes: the bytes differ
+        '{"lsn":1,"format":1,"kind":"restore_point","name":"é","crc":CRC}',
+    ])
+    def test_other_shapes_fall_back_to_the_re_encode(self, tmp_path, line):
+        record = json.loads(line.replace("CRC", "0"))
+        path = tmp_path / "j.wal"
+        path.write_text(line.replace("CRC", str(record_crc(record))) + "\n",
+                        encoding="utf-8")
+        (read,) = WriteAheadJournal(path).records()
+        assert {k: v for k, v in read.items() if k != "crc"} == {
+            k: v for k, v in record.items() if k != "crc"
+        }
+
+    def test_flipped_digit_in_a_fact_column_is_caught(self, tmp_path):
+        path = tmp_path / "j.wal"
+        schema = build_schema()
+        schema.add_fact({"Org": "idV1"}, 3, {"m": 12.5})
+        with WriteAheadJournal(path) as wal:
+            wal.checkpoint(schema)
+        text = path.read_text(encoding="utf-8")
+        assert '"values":{"m":[12.5]}' in text
+        path.write_text(text.replace("[12.5]", "[13.5]"), encoding="utf-8")
+        with pytest.raises(WALError, match="checksum mismatch"):
+            WriteAheadJournal(path)
