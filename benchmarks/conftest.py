@@ -47,7 +47,7 @@ def medium_workload():
 
 # -- benchmark collector ---------------------------------------------------------
 #
-# Every benchmark's wall time is collected by a hookwrapper and written to
+# Every benchmark's wall time is collected by a hookwrapper and merged into
 # BENCH_observability.json at the repo root when the session ends, together
 # with a snapshot of the process-default metrics registry (empty unless a
 # benchmark opted in via repro.observability.runtime — the collector itself
@@ -83,21 +83,41 @@ def pytest_runtest_call(item):
     )
 
 
+def merge_artifact(path: pathlib.Path, benchmarks: list, sections: dict) -> None:
+    """Merge one session's results into the JSON artifact at ``path``.
+
+    An entry in ``benchmarks`` replaces the one with the same test id, in
+    place, and new ids are appended in run order; each of ``sections``
+    replaces the section of the same key.  Entries and sections this
+    session did not produce are kept, so running a subset of the
+    benchmarks never drops the others' numbers."""
+    try:
+        old = json.loads(path.read_text())
+    except (FileNotFoundError, ValueError):
+        old = {}
+    fresh = {entry["name"]: entry for entry in benchmarks}
+    entries = [fresh.pop(entry["name"], entry) for entry in old.get("benchmarks", [])]
+    entries.extend(fresh.values())
+    path.write_text(
+        json.dumps({**old, "benchmarks": entries, **sections}, indent=2) + "\n"
+    )
+
+
 def pytest_sessionfinish(session, exitstatus):
     if not _BENCH_RESULTS:
         return
     from repro.observability import runtime
 
     root = pathlib.Path(__file__).resolve().parent.parent
-    payload = {
-        "benchmarks": _BENCH_RESULTS,
-        "metrics": (
-            runtime.current_metrics().snapshot() if runtime.enabled() else {}
-        ),
-        **BENCH_SECTIONS,
-    }
-    (root / "BENCH_observability.json").write_text(
-        json.dumps(payload, indent=2) + "\n"
+    merge_artifact(
+        root / "BENCH_observability.json",
+        _BENCH_RESULTS,
+        {
+            "metrics": (
+                runtime.current_metrics().snapshot() if runtime.enabled() else {}
+            ),
+            **BENCH_SECTIONS,
+        },
     )
     # The storage-recovery module gets its own artifact: the row-journaling
     # tax and recover_warehouse replay numbers, tracked release over release.
@@ -105,6 +125,4 @@ def pytest_sessionfinish(session, exitstatus):
         r for r in _BENCH_RESULTS if "test_bench_storage_recovery" in r["name"]
     ]
     if storage:
-        (root / "BENCH_storage_recovery.json").write_text(
-            json.dumps({"benchmarks": storage}, indent=2) + "\n"
-        )
+        merge_artifact(root / "BENCH_storage_recovery.json", storage, {})

@@ -159,9 +159,9 @@ class ShardedExecutor:
                 ):
                     return self.engine.collect_contributions(query, part)
 
-            # The first shard runs here, warming the engine's shared
-            # structure caches; concurrent misses after it are safe (dict
-            # writes are atomic), merely redundant.
+            # The first shard runs here, warming the structure versions'
+            # resolved levels; concurrent misses after it are safe (dict
+            # writes are atomic and the builds equal), merely redundant.
             partials = [collect((0, parts[0]))]
             with ThreadPoolExecutor(max_workers=self.max_workers) as pool:
                 partials.extend(pool.map(collect, enumerate(parts[1:], start=1)))

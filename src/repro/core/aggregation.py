@@ -9,7 +9,8 @@ MultiVersion fact table.
 The structure that defines "children" depends on the presentation mode:
 
 * in ``tcm`` it is the snapshot ``D(t)`` at the fact time — consistent data
-  rolls up along the hierarchy *as it was* at ``t``;
+  rolls up along the hierarchy *as it was* at ``t``, which is the structure
+  of the version that contains ``t``;
 * in a version mode ``VMi`` it is the (time-invariant) restriction of the
   dimension to structure version ``Vi``.
 
@@ -24,10 +25,9 @@ from typing import Mapping
 
 from .chronology import Instant
 from .confidence import ConfidenceFactor
-from .dimension import DimensionSnapshot
 from .errors import QueryError
 from .multiversion import MultiVersionFactTable
-from .presentation import PresentationMode, TCM_LABEL
+from .presentation import PresentationMode
 
 __all__ = ["DataAggregator"]
 
@@ -38,26 +38,6 @@ class DataAggregator:
     def __init__(self, mvft: MultiVersionFactTable) -> None:
         self._mvft = mvft
         self._schema = mvft.schema
-        self._snapshot_cache: dict[tuple[str, str, Instant], DimensionSnapshot] = {}
-
-    # -- structure access -------------------------------------------------------
-
-    def _snapshot(
-        self, mode: PresentationMode, did: str, t: Instant
-    ) -> DimensionSnapshot:
-        """The hierarchy along ``did`` as seen by ``mode`` at fact time ``t``."""
-        if mode.is_tcm:
-            key = (TCM_LABEL, did, t)
-            if key not in self._snapshot_cache:
-                self._snapshot_cache[key] = self._schema.dimension(did).at(t)
-            return self._snapshot_cache[key]
-        version = mode.version
-        assert version is not None
-        anchor = version.valid_time.start
-        key = (mode.label, did, anchor)
-        if key not in self._snapshot_cache:
-            self._snapshot_cache[key] = version.dimension(did).at(anchor)
-        return self._snapshot_cache[key]
 
     # -- aggregation --------------------------------------------------------------
 
@@ -98,9 +78,9 @@ class DataAggregator:
         # Find the first non-leaf coordinate to expand.
         expand_dim: str | None = None
         children: list[str] = []
+        version = self._mvft.modes.version_at(mode, t)  # None: D(t) is empty
         for did, mvid in coords.items():
-            snap = self._snapshot(mode, did, t)
-            if mvid not in snap:
+            if version is None or mvid not in (snap := version.snapshot(did)):
                 memo[key] = (None, None)
                 return memo[key]
             kids = snap.children(mvid)

@@ -112,6 +112,18 @@ class ModeSet:
                 return m
         raise QueryError(f"no structure version covers instant {t}")
 
+    def version_at(self, mode: PresentationMode, t: int) -> StructureVersion | None:
+        """The structure version whose hierarchy ``mode`` shows at ``t``:
+        its own for a version mode; for ``tcm`` the one that covers ``t``,
+        since versions are the maximal spans over which the structure does
+        not change (§3.1).  ``None`` where none does: ``D(t)`` is empty."""
+        if mode.version is not None:
+            return mode.version
+        try:
+            return self.mode_for_instant(t).version
+        except QueryError:
+            return None
+
 
 def build_modes(versions: Iterable[StructureVersion]) -> ModeSet:
     """Assemble ``TMP = {tcm, VM1, ..., VMN}`` from structure versions."""

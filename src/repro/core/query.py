@@ -15,8 +15,9 @@ A :class:`Query` declares:
 
 Execution groups MultiVersion fact rows of the requested mode, resolving
 each leaf coordinate to its ancestor(s) at the requested level **in the
-structure the mode prescribes**: the snapshot ``D(t)`` at the fact's own
-time for ``tcm``, the static restricted dimension for version modes.
+structure the mode prescribes**: ``D(t)`` at the fact's own time for
+``tcm`` (the structure of the version that contains ``t``), the static
+restricted dimension for version modes.
 Measures fold with their ``⊕`` and confidences with ``⊗cf``, so every
 result cell carries the reliability tag the §5.2 front end colours by.
 """
@@ -35,10 +36,10 @@ from repro.observability.tracing import STOPWATCH
 
 from .chronology import Granularity, Instant, Interval, YEAR
 from .confidence import ConfidenceFactor
-from .dimension import DimensionSnapshot
 from .errors import QueryError
 from .multiversion import MVFactRow, MultiVersionFactTable
 from .presentation import PresentationMode, TCM_LABEL
+from .versions import StructureVersion
 
 __all__ = [
     "TimeGroup",
@@ -352,8 +353,6 @@ class QueryEngine:
         self._slow_log = slow_log
         self._cache = cache
         self._cache_policy_digest = cache_policy_digest
-        self._snapshot_cache: dict[tuple[str, str, Instant], DimensionSnapshot] = {}
-        self._level_cache: dict[tuple[str, str, Instant, str, str], tuple[object, ...]] = {}
 
     @property
     def lineage(self):
@@ -374,63 +373,35 @@ class QueryEngine:
 
     # -- structure resolution ---------------------------------------------------
 
-    def _snapshot(
-        self, mode: PresentationMode, did: str, t: Instant
-    ) -> DimensionSnapshot:
-        if mode.is_tcm:
-            key = (TCM_LABEL, did, t)
-            if key not in self._snapshot_cache:
-                self._snapshot_cache[key] = self._schema.dimension(did).at(t)
-            return self._snapshot_cache[key]
-        version = mode.version
-        assert version is not None
-        anchor = version.valid_time.start
-        key = (mode.label, did, anchor)
-        if key not in self._snapshot_cache:
-            self._snapshot_cache[key] = version.dimension(did).at(anchor)
-        return self._snapshot_cache[key]
-
     def _labels_at_level(
-        self, mode: PresentationMode, term: LevelGroup, leaf: str, t: Instant
+        self, mode: PresentationMode, version: StructureVersion | None,
+        dimension: str, level: str, leaf: str,
     ) -> tuple[object, ...]:
         """Member name(s) of the ancestors-or-self of ``leaf`` that sit at
-        the requested level in the mode's structure."""
-        anchor = t if mode.is_tcm else mode.version.valid_time.start  # type: ignore[union-attr]
-        cache_key = (mode.label, term.dimension, anchor, term.level, leaf)
-        if cache_key in self._level_cache:
-            return self._level_cache[cache_key]
-        snap = self._snapshot(mode, term.dimension, t)
-        if leaf not in snap:
-            self._level_cache[cache_key] = (None,)
+        ``level`` in ``version``'s structure, the one ``mode`` shows
+        (``None`` when that structure is empty)."""
+        if version is None:
             return (None,)
-        level_ids = set(snap.levels().get(term.level, ()))
-        if not level_ids:
+        labels = version.level_labels(dimension, level)
+        if not labels and leaf in (snap := version.snapshot(dimension)):
             raise QueryError(
-                f"dimension {term.dimension!r} has no level {term.level!r} in "
+                f"dimension {dimension!r} has no level {level!r} in "
                 f"mode {mode.label!r} (available: {sorted(snap.levels())})"
             )
-        candidates = {leaf} | snap.ancestors(leaf)
-        hits = sorted(candidates & level_ids)
-        labels: tuple[object, ...]
-        if hits:
-            labels = tuple(snap.member(mvid).name for mvid in hits)
-        else:
-            labels = (None,)
-        self._level_cache[cache_key] = labels
-        return labels
+        return labels.get(leaf, (None,))
 
     def _row_labels(
-        self, mode: PresentationMode, query: Query, coordinates, t: Instant
+        self, mode: PresentationMode, version: StructureVersion | None, query: Query, coordinates
     ) -> list[tuple[object, ...] | None] | None:
-        """Each ``group_by`` term's labels for a row on ``coordinates`` at
-        ``t``, in ``group_by`` order, with ``None`` for a time term (its
-        label depends on the row's own ``t``).  ``None`` when a level
-        filter rejects the row (with multiple hierarchies a row passes if
-        *any* of its ancestors at the level matches)."""
+        """Each ``group_by`` term's labels for a row on ``coordinates`` in
+        ``version``'s structure, in ``group_by`` order, with ``None`` for a
+        time term (its label depends on the row's own ``t``).  ``None``
+        when a level filter rejects the row (with multiple hierarchies a
+        row passes if *any* of its ancestors at the level matches)."""
         for flt in query.level_filters:
             labels = self._labels_at_level(
-                mode, LevelGroup(flt.dimension, flt.level),
-                _leaf(coordinates, flt.dimension), t,
+                mode, version, flt.dimension, flt.level,
+                _leaf(coordinates, flt.dimension),
             )
             if not any(label in flt.values for label in labels):
                 return None
@@ -441,14 +412,16 @@ class QueryEngine:
                 continue
             leaf = _leaf(coordinates, term.dimension)
             if isinstance(term, AttributeGroup):
-                snap = self._snapshot(mode, term.dimension, t)
+                snap = None if version is None else version.snapshot(term.dimension)
                 label_sets.append((
                     snap.member(leaf).attributes.get(term.attribute)
-                    if leaf in snap
+                    if snap is not None and leaf in snap
                     else None,
                 ))
             else:
-                label_sets.append(self._labels_at_level(mode, term, leaf, t))
+                label_sets.append(self._labels_at_level(
+                    mode, version, term.dimension, term.level, leaf
+                ))
         return label_sets
 
     # -- execution -----------------------------------------------------------------
@@ -496,6 +469,9 @@ class QueryEngine:
         slots = [k for k, term in enumerate(query.group_by) if isinstance(term, TimeGroup)]
         grains = [query.group_by[k].granularity for k in slots]  # type: ignore[union-attr]
         stamps_at: dict[Instant, list[tuple[object]]] = {}
+        # The structure version the mode shows at each t (tcm's varies).
+        versions_at: dict[Instant, StructureVersion | None] = {}
+        modes = table.modes
         groups: dict[tuple[object, ...], list[list]] = {}
         # Hoisted once per phase: the disabled path pays one bool test per
         # matched row, never an attribute chain.
@@ -516,7 +492,12 @@ class QueryEngine:
                     continue
             label_sets = labels_of.get(key, _MISSING)
             if label_sets is _MISSING:
-                label_sets = labels_of[key] = self._row_labels(mode, query, coordinates, t)
+                version = versions_at.get(t, _MISSING)
+                if version is _MISSING:
+                    version = versions_at[t] = modes.version_at(mode, t)
+                label_sets = labels_of[key] = self._row_labels(
+                    mode, version, query, coordinates
+                )
             if label_sets is None:
                 continue
             matched += 1

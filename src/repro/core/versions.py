@@ -11,15 +11,19 @@ Member Versions and Temporal Relationships".  :func:`infer_structure_versions`
 implements exactly that: collect the critical instants of every dimension,
 cut history at them, and restrict each dimension to every maximal span in
 one sweep (:meth:`TemporalDimension.restrictions`).
+A version is also the one place its structure is resolved, memoized on
+the immutable version and so shared by everything that holds it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Mapping
 
+from repro.observability import runtime as _obs
+
 from .chronology import NOW, Instant, Interval
-from .dimension import TemporalDimension
+from .dimension import DimensionSnapshot, TemporalDimension
 from .errors import ModelError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -40,11 +44,20 @@ class StructureVersion:
         The span ``[ti, tf]`` (``tf`` may be ``NOW`` for the live version).
     dimensions:
         Per-dimension restrictions ``Di,V`` (Definition 9).
+
+    Concurrent first readers may each build a memo entry; the builds are
+    equal.
     """
 
     vsid: str
     valid_time: Interval
     dimensions: Mapping[str, TemporalDimension]
+    _snapshots: dict[str, DimensionSnapshot] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    _labels: dict[tuple[str, str], Mapping[str, tuple[object, ...]]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def dimension(self, did: str) -> TemporalDimension:
         """The restriction of dimension ``did`` to this version."""
@@ -55,15 +68,36 @@ class StructureVersion:
                 f"structure version {self.vsid!r} has no dimension {did!r}"
             ) from None
 
-    def leaf_ids(self, did: str) -> frozenset[str]:
-        """Ids of the leaf member versions of ``did`` within this version.
+    def snapshot(self, did: str) -> DimensionSnapshot:
+        """``D`` of dimension ``did`` at the span's start.  The structure
+        is constant over the span, so this is ``D(t)`` for every ``t`` in
+        it (§3.1)."""
+        if did not in self._snapshots:
+            self._snapshots[did] = self.dimension(did).at(self.valid_time.start)
+        return self._snapshots[did]
 
-        The structure is constant over the span, so leaves at the span's
-        start instant are the leaves throughout.
-        """
-        dim = self.dimension(did)
-        snap = dim.at(self.valid_time.start)
-        return frozenset(snap.leaves())
+    def level_labels(self, did: str, level: str) -> Mapping[str, tuple[object, ...]]:
+        """Member version id → the names of its ancestors-or-self at
+        ``level``, sorted by id, or ``(None,)`` when none sits there; empty
+        when ``did`` has no such level.  Built from one ``levels()`` walk,
+        under a ``structure.labels`` span."""
+        if (did, level) in self._labels:
+            return self._labels[did, level]
+        snap = self.snapshot(did)
+        attributes = {"mode": self.vsid, "dimension": did, "level": level}
+        with _obs.current_tracer().span("structure.labels", attributes=attributes) as span:
+            level_ids = set(snap.levels().get(level, ()))
+            labels = {}
+            for mvid in snap.members if level_ids else ():
+                hits = sorted(({mvid} | snap.ancestors(mvid)) & level_ids)
+                labels[mvid] = tuple(snap.member(h).name for h in hits) if hits else (None,)
+            span.set("members", len(labels))
+        self._labels[did, level] = labels
+        return labels
+
+    def leaf_ids(self, did: str) -> frozenset[str]:
+        """Ids of the leaf member versions of ``did`` within this version."""
+        return frozenset(self.snapshot(did).leaves())
 
     def level_names(self, did: str) -> list[str]:
         """The Definition 4 level names of ``did`` in first-seen member

@@ -55,7 +55,7 @@ def lower_parent_child(
         primary_key=["vsid", "member"],
     )
     for version in versions:
-        snap = version.dimension(did).at(version.valid_time.start)
+        snap = version.snapshot(did)
         for mvid in snap.topological_order():
             parents = snap.parents(mvid)
             if len(parents) > 1:

@@ -45,13 +45,8 @@ def lower_snowflake(
     may roll up into several parents).
     """
     tables: dict[str, Table] = {}
-    level_of_member: dict[tuple[str, str], str] = {}
 
     level_names = levels_across(versions, did)
-    snapshots = {
-        version.vsid: version.dimension(did).at(version.valid_time.start)
-        for version in versions
-    }
 
     for level in level_names:
         name = snowflake_level_table(did, level)
@@ -68,14 +63,14 @@ def lower_snowflake(
         primary_key=["vsid", "child", "parent"],
     )
 
-    for vsid, snap in snapshots.items():
+    for version in versions:
+        vsid, snap = version.vsid, version.snapshot(did)
         for level, members in snap.levels().items():
             table = tables[snowflake_level_table(did, level)]
             for mvid in members:
                 table.insert(
                     {"vsid": vsid, "member": mvid, "name": snap.member(mvid).name}
                 )
-                level_of_member[(vsid, mvid)] = level
         for rel in snap.relationships:
             tables[edge_name].insert(
                 {"vsid": vsid, "child": rel.child, "parent": rel.parent}

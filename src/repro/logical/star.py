@@ -51,10 +51,6 @@ def lower_star(
     in any version.
     """
     level_names = levels_across(versions, did)
-    snapshots = {
-        version.vsid: (version, version.dimension(did).at(version.valid_time.start))
-        for version in versions
-    }
 
     columns = [
         Column("vsid", TEXT),
@@ -68,23 +64,20 @@ def lower_star(
         star_table_name(did), columns, primary_key=["vsid", "member"]
     )
 
-    for vsid, (version, snap) in snapshots.items():
-        levels = snap.levels()
+    for version in versions:
+        snap = version.snapshot(did)
         end = version.valid_time.end
         valid_to = None if isinstance(end, NowType) else end
         for leaf in snap.leaves():
             row = {
-                "vsid": vsid,
+                "vsid": version.vsid,
                 "member": leaf,
                 "name": snap.member(leaf).name,
                 "valid_from": version.valid_time.start,
                 "valid_to": valid_to,
             }
-            lineage = {leaf} | snap.ancestors(leaf)
             for level in level_names:
-                hits = sorted(lineage & set(levels.get(level, ())))
-                row[level_column(level)] = (
-                    " | ".join(snap.member(m).name for m in hits) if hits else None
-                )
+                names = version.level_labels(did, level).get(leaf, (None,))
+                row[level_column(level)] = None if names == (None,) else " | ".join(names)
             table.insert(row)
     return table

@@ -29,7 +29,7 @@ def _level_order(cube: Cube, dimension: str) -> list[str]:
         raise QueryError("cube has no structure versions to navigate")
     last = version_modes[-1].version
     assert last is not None
-    snap = last.dimension(dimension).at(last.valid_time.start)
+    snap = last.snapshot(dimension)
     levels = snap.levels()
 
     def min_depth(members: list[str]) -> int:

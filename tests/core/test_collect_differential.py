@@ -1,7 +1,9 @@
 """The column collect against a row-by-row reference, on seeded queries.
 
 ``reference_collect`` groups ``slice()`` views one row at a time, the way
-the engine grouped row objects before the table became columnar.  Every
+the engine grouped row objects before the table became columnar, and
+resolves each row's labels with its own walk of ``D(t)`` rather than the
+structure versions' memoized maps.  Every
 query runs through the engine's one pipeline twice, once with each
 collect, and the two :class:`ResultTable`s and every ``explain_cell``
 rendering must be identical.
@@ -28,6 +30,7 @@ from repro.core import (
     MultiVersionFactTable,
     Query,
     QueryEngine,
+    QueryError,
     TemporalDimension,
     TemporalMultidimensionalSchema,
     TemporalRelationship,
@@ -39,6 +42,32 @@ from repro.workloads.generator import WorkloadConfig, generate_workload
 
 from tests.core.test_multiversion import golden_fixture
 from tests.integration.test_custom_confidence import ES, build_truth_table
+
+
+def reference_snapshot(engine, mode, did, t):
+    """The hierarchy ``mode`` shows along ``did`` at ``t``, walked per
+    (leaf, t) without the structure versions' memos: the live dimension's
+    ``D(t)`` in ``tcm``, the version's restriction at its start
+    otherwise."""
+    if mode.is_tcm:
+        return engine._mvft.schema.dimension(did).at(t)
+    version = mode.version
+    return version.dimension(did).at(version.valid_time.start)
+
+
+def reference_labels(engine, mode, term, leaf, t):
+    """The names of ``leaf``'s ancestors-or-self at ``term.level``, by id."""
+    snap = reference_snapshot(engine, mode, term.dimension, t)
+    if leaf not in snap:
+        return (None,)
+    level_ids = set(snap.levels().get(term.level, ()))
+    if not level_ids:
+        raise QueryError(
+            f"dimension {term.dimension!r} has no level {term.level!r} in "
+            f"mode {mode.label!r} (available: {sorted(snap.levels())})"
+        )
+    hits = sorted(({leaf} | snap.ancestors(leaf)) & level_ids)
+    return tuple(snap.member(mvid).name for mvid in hits) if hits else (None,)
 
 
 def reference_collect(engine, query):
@@ -54,8 +83,8 @@ def reference_collect(engine, query):
         if not all(
             any(
                 label in flt.values
-                for label in engine._labels_at_level(
-                    mode, LevelGroup(flt.dimension, flt.level),
+                for label in reference_labels(
+                    engine, mode, LevelGroup(flt.dimension, flt.level),
                     row.coordinates[flt.dimension], row.t,
                 )
             )
@@ -69,15 +98,15 @@ def reference_collect(engine, query):
                     (term.granularity.label(term.granularity.bucket(row.t)),)
                 )
             elif isinstance(term, AttributeGroup):
-                snap = engine._snapshot(mode, term.dimension, row.t)
+                snap = reference_snapshot(engine, mode, term.dimension, row.t)
                 leaf = row.coordinates[term.dimension]
                 label_sets.append((
                     snap.member(leaf).attributes.get(term.attribute)
                     if leaf in snap else None,
                 ))
             else:
-                label_sets.append(engine._labels_at_level(
-                    mode, term, row.coordinates[term.dimension], row.t
+                label_sets.append(reference_labels(
+                    engine, mode, term, row.coordinates[term.dimension], row.t
                 ))
         for combo in itertools.product(*label_sets):
             acc = groups.setdefault(combo, {m: [] for m in measures})

@@ -63,6 +63,25 @@ class TestQueryEngine:
         assert counters['query.cells_emitted{mode="tcm"}'] > 0
         assert counters['query.executed{mode="tcm"}'] == 1
 
+    def test_cold_resolution_shows_under_the_collect_phase(self, case_study, q1):
+        """Each structure version builds a level's labels once, under a
+        ``structure.labels`` span; a second read, even by a new engine,
+        opens none."""
+        mvft = case_study.schema.multiversion_facts()  # nothing resolved yet
+        tracer = Tracer()
+        with instrumented(tracer=tracer):
+            QueryEngine(mvft).execute(q1)
+            cold = tracer.find("structure.labels")
+            QueryEngine(mvft).execute(q1)
+        assert len(tracer.find("structure.labels")) == len(cold)
+        collect = tracer.find("query.collect_contributions")[0]
+        assert [s.parent_id for s in cold] == [collect.span_id] * len(cold)
+        # q1 reads 2001-2002 in tcm: the versions that cover those years.
+        assert [s.attributes for s in cold] == [
+            {"mode": vsid, "dimension": ORG, "level": "Division", "members": 5}
+            for vsid in ("V1", "V2")
+        ]
+
     def test_instrumented_result_is_byte_equal(self, mvft, q1):
         plain = QueryEngine(mvft).execute(q1).to_text()
         traced = (
