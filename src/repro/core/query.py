@@ -25,10 +25,11 @@ result cell carries the reliability tag the §5.2 front end colours by.
 from __future__ import annotations
 
 import itertools
+import operator
 import sys
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from repro.observability import runtime as _obs
 from repro.observability.lineage import NULL_LINEAGE
@@ -194,7 +195,9 @@ class ResultCell:
 
 @dataclass(frozen=True, slots=True)
 class ResultRow:
-    """One grouped row: the group key labels plus one cell per measure."""
+    """One grouped row: the group key labels plus one cell per measure.
+
+    :class:`ResultTable` builds these as views on each access."""
 
     group: tuple[object, ...]
     cells: tuple[ResultCell, ...]
@@ -215,75 +218,114 @@ class ResultRow:
 
 
 class ResultTable:
-    """An ordered collection of result rows with named group columns."""
+    """A grouped result with named group columns, held as columns.
+
+    ``group_columns`` holds one sequence of labels per group column;
+    ``value_columns`` and ``confidence_columns`` one sequence per measure.
+    All are aligned row by row, in row order: the engine passes its rows
+    sorted by group labels, ``None`` last.  Values are the objects the
+    measure's ``⊕`` returned.  :attr:`rows` and iteration build
+    :class:`ResultRow` views on each access, so compare rows by content,
+    never by identity.
+    """
 
     def __init__(
         self,
         columns: Sequence[str],
         measures: Sequence[str],
-        rows: Iterable[ResultRow],
         mode: str,
+        *,
+        group_columns: Sequence[Sequence[object]],
+        value_columns: Sequence[Sequence[float | None]],
+        confidence_columns: Sequence[Sequence[ConfidenceFactor | None]],
     ) -> None:
         self.columns = list(columns)
         self.measures = list(measures)
         self.mode = mode
-        self.rows = sorted(rows, key=lambda r: tuple(_sort_key(g) for g in r.group))
+        self.group_columns = tuple(map(tuple, group_columns))
+        self.value_columns = tuple(map(tuple, value_columns))
+        self.confidence_columns = tuple(map(tuple, confidence_columns))
+        if not self.columns or len(self.group_columns) != len(self.columns) or not (
+            len(self.value_columns) == len(self.confidence_columns) == len(self.measures)
+        ):
+            raise QueryError(
+                "a result table needs one or more group columns, each with its "
+                "labels, and a value and a confidence column per measure"
+            )
+        lengths = set(map(len, (
+            *self.group_columns, *self.value_columns, *self.confidence_columns
+        )))
+        if len(lengths) > 1:
+            raise QueryError(f"result columns differ in length: {sorted(lengths)}")
+        self._length = lengths.pop()
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return self._length
 
-    def __iter__(self):
-        return iter(self.rows)
+    def __iter__(self) -> Iterator[ResultRow]:
+        measures = self.measures
+        for group, values, confidences in self.records():
+            yield ResultRow(group, tuple(map(ResultCell, measures, values, confidences)))
+
+    @property
+    def rows(self) -> list[ResultRow]:
+        """Every row as a :class:`ResultRow` view, built on each access."""
+        return list(self)
+
+    def records(
+        self, start: int = 0, stop: int | None = None
+    ) -> Iterator[tuple[tuple[object, ...], tuple, tuple]]:
+        """Rows ``[start, stop)`` read off the columns: per row its group
+        labels, then its values and its confidences in measure order."""
+        return zip(
+            _row_major(self.group_columns, start, stop),
+            _row_major(self.value_columns, start, stop),
+            _row_major(self.confidence_columns, start, stop),
+        )
 
     @cached_property
     def nbytes(self) -> int:
-        """The memory this table owns, in bytes: the table, its row list,
-        each row with its group and cells tuples, each cell and its value.
-        Group labels and confidence factors are shared with the structure
-        and not counted.  The result cache prices a table by this."""
+        """The memory this table owns, in bytes: the table, its column
+        sequences and each value.  Group labels and confidence factors
+        are shared with the structure and not counted.  The result cache
+        prices a table by this."""
         size = sys.getsizeof
-        total = size(self) + size(self.rows)
-        for row in self.rows:
-            total += size(row) + size(row.group) + size(row.cells)
-            for cell in row.cells:
-                total += size(cell) + size(cell.value)
+        kinds = (self.group_columns, self.value_columns, self.confidence_columns)
+        total = size(self) + sum(map(size, kinds))
+        for columns in kinds:
+            total += sum(map(size, columns))
+        for column in self.value_columns:
+            total += sum(map(size, column))
         return total
 
     def as_dict(self) -> dict[tuple[object, ...], dict[str, float | None]]:
         """``{group key: {measure: value}}`` — handy for assertions."""
-        return {
-            row.group: {cell.measure: cell.value for cell in row.cells}
-            for row in self.rows
-        }
+        measures = self.measures
+        return {group: dict(zip(measures, values)) for group, values, _ in self.records()}
 
     def confidences(self) -> dict[tuple[object, ...], dict[str, str | None]]:
         """``{group key: {measure: confidence symbol}}``."""
+        measures = self.measures
         return {
-            row.group: {
-                cell.measure: cell.confidence.symbol if cell.confidence else None
-                for cell in row.cells
-            }
-            for row in self.rows
+            group: {m: cf.symbol if cf else None for m, cf in zip(measures, factors)}
+            for group, _, factors in self.records()
         }
 
     def cell_confidences(self) -> list[ConfidenceFactor | None]:
         """Every cell's confidence, row-major — input to the §5.2 quality
         factor ``Q``."""
-        return [cell.confidence for row in self.rows for cell in row.cells]
+        return [cf for _, _, factors in self.records() for cf in factors]
 
     def to_text(self, *, show_confidence: bool = True) -> str:
         """Render the table in the style of the paper's result tables."""
         headers = [*self.columns, *self.measures]
         body: list[list[str]] = []
-        for row in self.rows:
-            labels = [_render_label(g) for g in row.group]
-            for cell in row.cells:
-                if cell.value is None:
-                    text = "?"
-                else:
-                    text = f"{cell.value:g}"
-                if show_confidence and cell.confidence is not None:
-                    text += f" ({cell.confidence.symbol})"
+        for group, values, confidences in self.records():
+            labels = [_render_label(g) for g in group]
+            for value, confidence in zip(values, confidences):
+                text = "?" if value is None else f"{value:g}"
+                if show_confidence and confidence is not None:
+                    text += f" ({confidence.symbol})"
                 labels.append(text)
             body.append(labels)
         widths = [
@@ -303,6 +345,20 @@ def _sort_key(value: object) -> tuple[int, str]:
     if value is None:
         return (1, "")
     return (0, str(value))
+
+
+def _row_major(
+    columns: tuple[tuple, ...], start: int, stop: int | None
+) -> Iterator[tuple]:
+    """Rows ``[start, stop)`` of ``columns``, one tuple per row; endless
+    empty tuples for no columns (a table's group columns set its length)."""
+    if not columns:
+        return itertools.repeat(())
+    return zip(*(column[start:stop] for column in columns))
+
+
+def _group_key(group: tuple[object, ...]) -> tuple[tuple[int, str], ...]:
+    return tuple(map(_sort_key, group))
 
 
 def _render_label(value: object) -> str:
@@ -533,41 +589,51 @@ class QueryEngine:
         query: Query,
         groups: dict[tuple[object, ...], dict[str, list]],
     ) -> ResultTable:
-        """Phase two of execution: fold each group with ``⊕`` and ``⊗cf``."""
+        """Phase two of execution: fold each group with ``⊕`` and ``⊗cf``.
+
+        The group keys are sorted once and each measure's values and
+        confidences are folded straight into the table's columns."""
         mode, measures = self.resolve(query)
+        order = sorted(groups, key=_group_key)
+        accs = [groups[group] for group in order]
+        cf_aggregator = self._schema.cf_aggregator
+        value_columns: list[tuple[float | None, ...]] = []
+        confidence_columns: list[tuple[ConfidenceFactor | None, ...]] = []
+        for m in measures:
+            fold = self._schema.measure(m).aggregate.combine_all
+            contributions = [acc[m] for acc in accs]
+            value_columns.append(tuple([fold(map(_first, c)) for c in contributions]))
+            confidence_columns.append(tuple([
+                cf_aggregator.combine_all(map(_second, c)) if c else None
+                for c in contributions
+            ]))
         lineage = self._lineage
-        record_lineage = lineage.enabled
-        result_rows: list[ResultRow] = []
-        for group, acc in groups.items():
-            cells: list[ResultCell] = []
-            for m in measures:
-                contribs = acc[m]
-                agg = self._schema.measure(m).aggregate
-                value = agg.combine_all(v for v, _ in contribs)
-                confidence = (
-                    self._schema.cf_aggregator.combine_all(cf for _, cf in contribs)
-                    if contribs
-                    else None
-                )
-                cells.append(ResultCell(m, value, confidence))
-                if record_lineage:
+        if lineage.enabled:
+            for i, (group, acc) in enumerate(zip(order, accs)):
+                for k, m in enumerate(measures):
                     lineage.record_cell(
                         mode.label,
                         group,
                         m,
-                        value,
-                        confidence,
-                        contribs,
-                        self._schema.cf_aggregator,
+                        value_columns[k][i],
+                        confidence_columns[k][i],
+                        acc[m],
+                        cf_aggregator,
                     )
-            result_rows.append(ResultRow(group=group, cells=tuple(cells)))
         columns = [term.column for term in query.group_by]
         _, metrics = self._observability()
         if metrics.enabled:
             metrics.counter("query.cells_emitted", {"mode": mode.label}).inc(
-                len(result_rows) * len(measures)
+                len(order) * len(measures)
             )
-        return ResultTable(columns, measures, result_rows, mode.label)
+        return ResultTable(
+            columns,
+            measures,
+            mode.label,
+            group_columns=tuple(zip(*order)) if order else [()] * len(columns),
+            value_columns=value_columns,
+            confidence_columns=confidence_columns,
+        )
 
     def execute(self, query: Query) -> ResultTable:
         """Run a query and return its grouped, confidence-tagged result.
@@ -667,6 +733,8 @@ class QueryEngine:
 
 
 _MISSING = object()
+_first = operator.itemgetter(0)
+_second = operator.itemgetter(1)
 
 
 def _leaf(coordinates, dimension: str) -> str:

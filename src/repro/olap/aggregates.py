@@ -113,10 +113,11 @@ class AggregateLattice:
     def _project(
         self, result: ResultTable, measure: str
     ) -> dict[CellKey, tuple[float | None, ConfidenceFactor | None]]:
-        return {
-            row.group: (row.value(measure), row.confidence(measure))
-            for row in result
-        }
+        k = result.measures.index(measure)
+        return dict(zip(
+            zip(*result.group_columns),
+            zip(result.value_columns[k], result.confidence_columns[k]),
+        ))
 
     # -- access --------------------------------------------------------------------
 

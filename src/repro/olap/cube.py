@@ -514,20 +514,19 @@ class Cube:
         )
         runner = self.executor if self.executor is not None else self.engine
         result = runner.execute(query)
-        rows: list[object] = []
-        cols: list[object] = []
-        cells: dict[tuple[object, object], CubeCell] = {}
-        for rrow in result:
-            r, c = rrow.group
-            if r not in rows:
-                rows.append(r)
-            if c not in cols:
-                cols.append(c)
-            cells[(r, c)] = CubeCell(
-                rrow.value(measure), rrow.confidence(measure)
+        row_labels, col_labels = result.group_columns
+        k = result.measures.index(measure)
+        cells = {
+            (r, c): CubeCell(value, confidence)
+            for r, c, value, confidence in zip(
+                row_labels, col_labels,
+                result.value_columns[k], result.confidence_columns[k],
             )
-        rows.sort(key=lambda x: (x is None, str(x)))
-        cols.sort(key=lambda x: (x is None, str(x)))
+        }
+        # First-seen order, then a stable sort: labels that render alike
+        # keep the order the result has them in.
+        rows = sorted(dict.fromkeys(row_labels), key=lambda x: (x is None, str(x)))
+        cols = sorted(dict.fromkeys(col_labels), key=lambda x: (x is None, str(x)))
         return CubeView(
             mode, row_axis, col_axis, measure, rows, cols, cells,
             time_range=time_range,

@@ -63,7 +63,7 @@ from .protocol import (
     error_code_for,
     error_response,
     ok_response,
-    result_row_to_dict,
+    result_rows_to_dicts,
     result_table_to_dict,
 )
 from .quotas import AdmissionController, TokenBucket
@@ -89,7 +89,7 @@ __all__ = [
     "ok_response",
     "error_response",
     "error_code_for",
-    "result_row_to_dict",
+    "result_rows_to_dicts",
     "result_table_to_dict",
     "cube_view_to_dict",
     # auth

@@ -42,6 +42,7 @@ scoped to their own bill.
 
 from __future__ import annotations
 
+import itertools
 import json
 from typing import Any, Mapping
 
@@ -64,7 +65,7 @@ __all__ = [
     "ok_response",
     "error_response",
     "error_code_for",
-    "result_row_to_dict",
+    "result_rows_to_dicts",
     "result_table_to_dict",
     "cube_view_to_dict",
 ]
@@ -222,19 +223,29 @@ def _confidence_symbol(confidence: Any) -> str | None:
     return None if confidence is None else confidence.symbol
 
 
-def result_row_to_dict(row: Any) -> dict[str, Any]:
-    """One :class:`~repro.core.query.ResultRow` as a JSON-safe dict."""
-    return {
-        "group": list(row.group),
-        "cells": [
+def result_rows_to_dicts(
+    table: Any, start: int = 0, stop: int | None = None
+) -> list[dict[str, Any]]:
+    """Rows ``[start, stop)`` of a :class:`~repro.core.query.ResultTable`
+    as JSON-safe dicts, read off the table's columns a measure at a time."""
+    per_measure = [
+        [
             {
-                "measure": cell.measure,
-                "value": cell.value,
-                "confidence": _confidence_symbol(cell.confidence),
+                "measure": measure,
+                "value": value,
+                "confidence": _confidence_symbol(confidence),
             }
-            for cell in row.cells
-        ],
-    }
+            for value, confidence in zip(values[start:stop], confidences[start:stop])
+        ]
+        for measure, values, confidences in zip(
+            table.measures, table.value_columns, table.confidence_columns
+        )
+    ]
+    groups = zip(*(column[start:stop] for column in table.group_columns))
+    cells = zip(*per_measure) if per_measure else itertools.repeat(())
+    return [
+        {"group": list(group), "cells": list(row)} for group, row in zip(groups, cells)
+    ]
 
 
 def result_table_to_dict(table: Any, *, rows: bool = True) -> dict[str, Any]:
@@ -249,7 +260,7 @@ def result_table_to_dict(table: Any, *, rows: bool = True) -> dict[str, Any]:
         "total_rows": len(table),
     }
     if rows:
-        payload["rows"] = [result_row_to_dict(row) for row in table.rows]
+        payload["rows"] = result_rows_to_dicts(table)
     return payload
 
 

@@ -10,7 +10,8 @@ A :class:`ServerSession` is created at ``auth`` time and owns:
   **every** query plan through :class:`SecuredMVQLSession` (SELECT and
   RANK MODES) and the pivot surface's ``filters=``;
 * a bounded page registry: large results stream to the client in
-  ``fetch``-sized chunks instead of one giant line;
+  ``fetch``-sized chunks instead of one giant line, each serialized
+  when it is fetched;
 * an AS-OF cache: ``as_of`` statements materialize a historical snapshot
   once per target and query it through the same RLS wrapper.
 
@@ -22,8 +23,9 @@ session never races itself.
 from __future__ import annotations
 
 import contextlib
+import functools
 import itertools
-from typing import Any
+from typing import Any, Callable
 
 from repro.core.chronology import MONTH, QUARTER, YEAR
 from repro.core.query import ResultTable
@@ -34,7 +36,7 @@ from .auth import TenantConfig
 from .protocol import (
     BadRequestError,
     cube_view_to_dict,
-    result_row_to_dict,
+    result_rows_to_dicts,
     result_table_to_dict,
 )
 from .rls import RLSPolicy
@@ -85,19 +87,26 @@ def parse_axis(spec: Any) -> TimeAxis | LevelAxis:
 
 
 class _PageCursor:
-    """Buffered rows streaming out page by page."""
+    """A result streaming out page by page.
 
-    __slots__ = ("rows", "position", "page_size")
+    ``page(start, stop)`` gives rows ``[start, stop)`` as sent, so each
+    fetch serializes its own page and the cursor holds the result and an
+    offset, not serialized rows."""
 
-    def __init__(self, rows: list[Any], page_size: int) -> None:
-        self.rows = rows
+    __slots__ = ("page", "total", "position", "page_size")
+
+    def __init__(
+        self, page: Callable[[int, int], list[Any]], total: int, page_size: int
+    ) -> None:
+        self.page = page
+        self.total = total
         self.position = 0
         self.page_size = page_size
 
     def next_page(self) -> tuple[list[Any], bool]:
-        chunk = self.rows[self.position : self.position + self.page_size]
-        self.position += len(chunk)
-        return chunk, self.position >= len(self.rows)
+        start = self.position
+        self.position = min(start + self.page_size, self.total)
+        return self.page(start, self.position), self.position >= self.total
 
 
 class ServerSession:
@@ -208,10 +217,10 @@ class ServerSession:
         return min(page_size, MAX_PAGE_SIZE)
 
     def _register_pages(
-        self, rows: list[Any], page_size: int
+        self, page: Callable[[int, int], list[Any]], total: int, page_size: int
     ) -> tuple[list[Any], int | None]:
         """First page now; a cursor id when more rows remain."""
-        cursor = _PageCursor(rows, page_size)
+        cursor = _PageCursor(page, total, page_size)
         first, done = cursor.next_page()
         if done:
             return first, None
@@ -269,8 +278,9 @@ class ServerSession:
             result = session.execute(statement)
         if isinstance(result, ResultTable):
             payload = result_table_to_dict(result, rows=False)
-            serialized = [result_row_to_dict(row) for row in result.rows]
-            first, cursor_id = self._register_pages(serialized, size)
+            first, cursor_id = self._register_pages(
+                functools.partial(result_rows_to_dicts, result), len(result), size
+            )
             payload.update(
                 {"kind": "table", "page": first, "cursor": cursor_id}
             )
@@ -316,7 +326,9 @@ class ServerSession:
             {"row": row_label, "cells": cells}
             for row_label, cells in zip(payload["rows"], payload["cells"])
         ]
-        first, cursor_id = self._register_pages(grid_rows, size)
+        first, cursor_id = self._register_pages(
+            lambda start, stop: grid_rows[start:stop], len(grid_rows), size
+        )
         payload.pop("cells")
         payload.update(
             {
@@ -431,7 +443,9 @@ class ServerSession:
         except ValueError as exc:
             raise BadRequestError(str(exc)) from None
         events = [event.to_dict() for event in stream.poll()]
-        first, cursor_id = self._register_pages(events, size)
+        first, cursor_id = self._register_pages(
+            lambda start, stop: events[start:stop], len(events), size
+        )
         return {
             "kind": "tail",
             "from_lsn": from_lsn,

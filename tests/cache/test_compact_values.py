@@ -1,5 +1,6 @@
-"""Compact cached values: slotted result rows, result cells and pivot cells,
-and the sizes the engine and the cube price their cache entries by."""
+"""Compact cached values: result tables held as columns, slotted result
+rows, result cells and pivot cells, and the sizes the engine and the cube
+price their cache entries by."""
 
 import copy
 import gc
@@ -23,8 +24,9 @@ from repro.workloads.generator import ORG, WorkloadConfig, generate_workload
 #: Shapes the size checks cover: tcm by month, a version mode by quarter.
 SHAPES = [("tcm", MONTH), ("V5", QUARTER)]
 
-#: The memory guard's bound on what the result cache retains per row.
-MAX_BYTES_PER_ROW = 300
+#: The memory guard's bound on what the result cache retains per row:
+#: 59 B measured (columns of owned slots and floats), plus headroom.
+MAX_BYTES_PER_ROW = 72
 
 
 @pytest.fixture(scope="module")
@@ -125,8 +127,8 @@ class TestPricedByConstruction:
 class TestResultCacheMemory:
     def test_cache_retains_under_bound_per_row(self, mvft):
         """Every mode × {year, quarter, month} × {Division, Department}
-        shape, cached: the cache retains under 300 B a row (slotted rows
-        and cells; about 450 B as plain dataclasses)."""
+        shape, cached: the cache retains under 72 B a row (columns; about
+        240 B as slotted row and cell objects, 450 B as plain dataclasses)."""
         cache = VersionedResultCache()
         session = MVQLSession(mvft, cache=cache)
         statements = [

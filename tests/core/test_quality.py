@@ -14,16 +14,17 @@ from repro.core import (
     rank_modes,
     ym,
 )
-from repro.core.query import ResultCell, ResultRow, ResultTable
+from repro.core.query import ResultTable
 from repro.core.confidence import AM, EM, SD, UK
 
 
 def table_with(confidences):
-    rows = [
-        ResultRow(group=(i,), cells=(ResultCell("m", 1.0, cf),))
-        for i, cf in enumerate(confidences)
-    ]
-    return ResultTable(["g"], ["m"], rows, mode="test")
+    return ResultTable(
+        ["g"], ["m"], "test",
+        group_columns=[range(len(confidences))],
+        value_columns=[[1.0] * len(confidences)],
+        confidence_columns=[confidences],
+    )
 
 
 Q2 = Query(
