@@ -1,7 +1,7 @@
 """Incremental MV maintenance vs full rebuild — the load-path ablation.
 
-Appending a batch of facts one by one through the incremental maintainer
-should beat rebuilding the whole MultiVersion fact table after the batch,
+Appending a batch of facts one by one to the schema, whose current table
+is derived incrementally, should beat rebuilding the whole MultiVersion fact table after the batch,
 and the two must agree cell for cell (asserted in the test suite; spot
 checked here).
 """
@@ -12,7 +12,6 @@ from repro.concurrency import SnapshotManager
 from repro.core import MultiVersionFactTable
 from repro.core.chronology import ym
 from repro.robustness import TransactionManager
-from repro.warehouse import IncrementalMultiVersion
 from repro.workloads.case_study import build_case_study
 from repro.workloads.generator import WorkloadConfig, generate_workload
 
@@ -29,12 +28,11 @@ def test_bench_incremental_appends(benchmark):
     stream = fact_stream()
 
     def run():
-        study = build_case_study(with_facts=False)
-        incremental = IncrementalMultiVersion(study.schema)
-        incremental.mvft  # initial (empty) build
+        schema = build_case_study(with_facts=False).schema
+        schema.multiversion_facts()  # initial (empty) build
         for coordinates, t, values in stream:
-            incremental.append_fact(coordinates, t, values)
-        return incremental.mvft
+            schema.add_fact(coordinates, t, values)
+        return schema.multiversion_facts()
 
     mvft = benchmark(run)
     assert len(mvft.slice("tcm")) == len(stream)

@@ -6,9 +6,9 @@ case-study organization:
 
 1. the administrator audits the schema before opening it to analysts
    (:func:`repro.core.audit_schema`);
-2. nightly fact batches are folded into the MultiVersion fact table
-   *incrementally* (:class:`repro.warehouse.IncrementalMultiVersion`) —
-   each batch derives a new table from the previous one, no full rebuild;
+2. nightly fact batches are folded into the schema's MultiVersion fact
+   table *incrementally* (``schema.multiversion_facts()``) — each batch
+   derives a new table from the previous one, no full rebuild;
 3. a mid-life structural change (a department split) makes the next
    access rebuild the table — the table notices the change itself — and
    the audit explains what the change implies;
@@ -22,7 +22,6 @@ Run with::
 
 from repro.core import EvolutionManager, Query, QueryEngine, TimeGroup, YEAR, audit_schema, ym
 from repro.core.query import LevelGroup
-from repro.warehouse import IncrementalMultiVersion
 from repro.workloads.case_study import ORG, build_case_study, fact_instant
 
 
@@ -33,7 +32,6 @@ def main() -> None:
     print("== audit before going live ==")
     print(audit_schema(schema).to_text())
 
-    warehouse = IncrementalMultiVersion(schema)
     nightly_batches = {
         2001: [("jones", 100.0), ("smith", 50.0), ("brian", 100.0)],
         2002: [("jones", 100.0), ("smith", 100.0), ("brian", 50.0)],
@@ -41,14 +39,12 @@ def main() -> None:
     }
     for year, batch in nightly_batches.items():
         for dept, amount in batch:
-            warehouse.append_fact({ORG: dept}, fact_instant(year), amount=amount)
-        cells = {
-            label: len(warehouse.mvft.slice(label))
-            for label in warehouse.mvft.modes.labels
-        }
+            schema.add_fact({ORG: dept}, fact_instant(year), amount=amount)
+        mvft = schema.multiversion_facts()
+        cells = {label: len(mvft.slice(label)) for label in mvft.modes.labels}
         print(f"\nafter the {year} batch: cells per mode = {cells}")
 
-    engine = QueryEngine(warehouse.mvft)
+    engine = QueryEngine(schema.multiversion_facts())
     q = Query(group_by=(TimeGroup(YEAR), LevelGroup(ORG, "Division")), mode="V1")
     print("\nQ1 on the incrementally-maintained table (mode V1):")
     print(engine.execute(q).to_text())
@@ -63,8 +59,8 @@ def main() -> None:
     )
     print("audit after the split:")
     print(audit_schema(schema).to_text())
-    warehouse.append_fact({ORG: "smith_a"}, fact_instant(2004), amount=70.0)
-    print(f"modes now: {warehouse.mvft.modes.labels}")
+    schema.add_fact({ORG: "smith_a"}, fact_instant(2004), amount=70.0)
+    print(f"modes now: {schema.multiversion_facts().modes.labels}")
 
     print("\n== a sloppy change: deleting Brian with no mapping ==")
     manager.delete_member(ORG, "brian", ym(2005, 1))

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import threading
 from typing import Any
 
 from repro.core.dimension import TemporalDimension
@@ -74,25 +73,27 @@ class SchemaSnapshot:
     def __init__(self, schema: TemporalMultidimensionalSchema, version: int) -> None:
         self.schema = schema
         self.version = version
-        self._mvft: Any = None
-        self._mvft_lock = threading.Lock()
+
+    def __del__(self) -> None:
+        # The clone and the table it keeps refer to each other.  Dropping
+        # the table with the snapshot lets reference counting free both
+        # when the last reader lets go, instead of a full GC pass later:
+        # a snapshot is published per commit.
+        self.schema._table = None
 
     def mvft(self):
-        """The snapshot's MultiVersion fact table, inferred once.
+        """The snapshot's MultiVersion fact table: its clone schema's
+        current table, stamped with the snapshot's commit version.
 
-        The snapshot is immutable, so the table is built once and shared
-        by every cursor pinned to this version: a version mode the table
-        infers on its first read serves every later reader — and,
-        because the table is stamped with the snapshot's commit version,
-        result-cache entries computed by one session serve every other
-        session on the same snapshot.
+        The clone never changes, so its schema keeps one table for every
+        cursor pinned to this version: a version mode the table infers on
+        its first read serves every later reader, and, because the table
+        carries the commit version, result-cache entries computed by one
+        session serve every other session on the same snapshot.
         """
-        with self._mvft_lock:
-            if self._mvft is None:
-                mvft = self.schema.multiversion_facts()
-                mvft.snapshot_version = self.version
-                self._mvft = mvft
-            return self._mvft
+        mvft = self.schema.multiversion_facts()
+        mvft.snapshot_version = self.version
+        return mvft
 
     def fingerprint(self) -> str:
         """SHA-256 over the canonical serialization of this version.

@@ -28,7 +28,9 @@ fills, by folding every fact into it, the first time a reader needs that
 mode.  :meth:`MultiVersionFactTable.refreshed` folds only the facts
 appended since a table was inferred, and only into the filled slots, in a
 *new* table that shares the columns of every untouched mode.  Seen from
-outside, a table is never mutated once built.
+outside, a table is never mutated once built.  The schema keeps the
+current table (``schema.multiversion_facts()``); every stale table's
+``refreshed()`` lands on that one successor.
 
 Storage is columnar: the ``tcm`` slice is the fact tuple itself, and each
 version mode is a set of parallel columns (key id, ``t``, one column per
@@ -648,7 +650,22 @@ class MultiVersionFactTable:
             return cls(schema, modes, basis, _Parts(schema.measure_names), {})
 
     def refreshed(self) -> "MultiVersionFactTable":
-        """A table matching the live schema; this one is left untouched.
+        """The current table for the live schema; this one is left untouched.
+
+        A current table returns ``self``: one token compare, no lock.  A
+        stale one asks its schema for the current table with this table's
+        build arguments (:meth:`TemporalMultidimensionalSchema.multiversion_facts
+        <repro.core.schema.TemporalMultidimensionalSchema.multiversion_facts>`).
+        The schema takes the successor (:meth:`_successor`) of whichever is
+        newer, this table or the one it keeps, so every holder of a stale
+        table lands on the same successor and a write is inferred once.
+        """
+        if self._schema.version_token() == self.schema_token:
+            return self
+        return self._schema._current_table(self._basis.build_args, self)
+
+    def _successor(self) -> "MultiVersionFactTable":
+        """The table this one becomes for the live schema, decided here:
 
         * **current** — nothing changed since inference: ``self``;
         * **derived** — facts were only appended past this table's fact
@@ -661,6 +678,8 @@ class MultiVersionFactTable:
           and fills from all the facts on its first read;
         * **rebuilt** — otherwise (an evolution, a new mapping, a rolled
           back fact): a full :meth:`build` with this table's parameters.
+
+        Called under the schema's table lock; it never takes that lock.
         """
         schema = self._schema
         token = schema.version_token()

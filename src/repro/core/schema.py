@@ -11,13 +11,15 @@ instant.
 The schema is the single entry point applications should hold: it owns
 validation (Definition 5's leaf-and-valid constraint on facts, Definition 7's
 leaf constraint on mappings), exposes structure-version inference
-(Definition 9) and mode enumeration (Definition 10), and hands a coherent
-view to the MultiVersion fact table builder (Definition 11).
+(Definition 9) and mode enumeration (Definition 10), and owns the current
+MultiVersion fact table (Definition 11): the one every reader of the live
+schema brings up to date.
 """
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+import threading
+from typing import Any, Mapping, Sequence
 
 from .chronology import Instant, critical_instants
 from .confidence import ConfidenceAggregator, DEFAULT_AGGREGATOR
@@ -70,6 +72,9 @@ class TemporalMultidimensionalSchema:
         self.facts = TemporallyConsistentFactTable(
             dimensions=list(self._dimensions), measures=list(measures)
         )
+        # The last MultiVersion fact table handed out (see multiversion_facts).
+        self._table: Any = None
+        self._table_lock = threading.Lock()
 
     # -- dimensions -----------------------------------------------------------
 
@@ -263,10 +268,40 @@ class TemporalMultidimensionalSchema:
         return build_modes(self.structure_versions(horizon=horizon))
 
     def multiversion_facts(self, horizon: Instant | None = None, max_hops: int = 8):
-        """Infer the MultiVersion fact table (Definition 11)."""
+        """The schema's current MultiVersion fact table (Definition 11).
+
+        The schema keeps the last table it returned and returns that
+        table's successor: the table itself while nothing changed, a table
+        derived from it after fact appends, a rebuilt one otherwise (see
+        :meth:`~repro.core.multiversion.MultiVersionFactTable.refreshed`).
+        Arguments that differ from the kept table's build a fresh table,
+        which replaces it.  :meth:`MultiVersionFactTable.build
+        <repro.core.multiversion.MultiVersionFactTable.build>` gives an
+        independent table instead.
+        """
+        return self._current_table({"horizon": horizon, "max_hops": max_hops})
+
+    def _current_table(self, args: Mapping[str, Any], held: Any = None):
+        """The successor of the kept table or of ``held`` (a table built
+        with ``args``), whichever is newer; it becomes the kept table.
+
+        Every stale table's ``refreshed()`` comes here, so all holders of
+        one schema's tables land on the same successor and a write is
+        inferred once.  Lock order is schema, then table: the table's
+        derive and fills never take this lock.
+        """
         from .multiversion import MultiVersionFactTable
 
-        return MultiVersionFactTable.build(self, horizon=horizon, max_hops=max_hops)
+        with self._table_lock:
+            kept = self._table
+            if kept is None or kept._basis.build_args != args or (
+                held is not None and held.schema_token > kept.schema_token
+            ):
+                kept = held
+            if kept is None:
+                kept = MultiVersionFactTable.build(self, **args)
+            self._table = table = kept._successor()
+            return table
 
     # -- validation --------------------------------------------------------------
 

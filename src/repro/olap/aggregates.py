@@ -69,23 +69,18 @@ class AggregateLattice:
             mvft, cache=self.cache, cache_policy_digest=self.policy_digest
         )
 
-    def rebind(self, mvft: MultiVersionFactTable) -> None:
-        """Point the lattice at a freshly inferred MultiVersion table.
-
-        The cube calls this after rebuilding its own table so both share
-        one inference pass.  Old cache entries stay resident (readers
-        pinned to the old versions still hit them) but stop matching this
-        lattice's keys, so nodes recompute lazily against the new table.
-        """
-        self._bind(mvft)
-        if self.executor is not None:
-            self.executor = _rebuild_executor(self.executor, mvft)
-
     def _refresh(self) -> None:
-        """Rebind to a table matching the live schema if it mutated."""
+        """Rebind to a table matching the live schema if it mutated: the
+        schema's one successor, which every other holder of the table
+        (a cube, another lattice) lands on too.  Old cache entries stay
+        resident (readers pinned to the old versions still hit them) but
+        stop matching this lattice's keys, so nodes recompute lazily
+        against the new table."""
         mvft = self.mvft.refreshed()
         if mvft is not self.mvft:
-            self.rebind(mvft)
+            self._bind(mvft)
+            if self.executor is not None:
+                self.executor = _rebuild_executor(self.executor, mvft)
 
     # -- node computation -----------------------------------------------------------
 

@@ -147,12 +147,12 @@ class CubeView:
 class Cube:
     """The hypercube over a MultiVersion fact table.
 
-    When built with ``materialize=True`` (or handed an existing
-    :class:`~repro.olap.aggregates.AggregateLattice` via ``lattice``), the
-    cube answers untimed (time × level) pivots straight from the
-    precomputed aggregates — §1.1's "query results are pre-calculated in
-    the form of aggregates".  Pivots the lattice cannot serve (custom time
-    windows, level × level grids) fall back to the query engine.
+    When built with ``materialize=True``, the cube answers untimed
+    (time × level) pivots straight from a lazy
+    :class:`~repro.olap.aggregates.AggregateLattice` — §1.1's "query
+    results are pre-calculated in the form of aggregates".  Pivots the
+    lattice cannot serve (custom time windows, level × level grids) fall
+    back to the query engine.
 
     Both paths memoize through a shared
     :class:`~repro.cache.VersionedResultCache` (``cache``; a private one
@@ -168,7 +168,6 @@ class Cube:
         mvft: MultiVersionFactTable,
         *,
         materialize: bool = False,
-        lattice=None,
         executor=None,
         tracer=None,
         metrics=None,
@@ -196,13 +195,13 @@ class Cube:
         if executor is not None and lineage is not None:
             # Executor-path pivots run on the executor's own engine.
             executor.engine.set_lineage(lineage)
-        if lattice is None and materialize:
+        self.lattice = None
+        if materialize:
             from .aggregates import AggregateLattice
 
-            lattice = AggregateLattice(
+            self.lattice = AggregateLattice(
                 mvft, executor=executor, cache=cache, policy_digest=policy_digest
             )
-        self.lattice = lattice
 
     def _bind(self, mvft: MultiVersionFactTable) -> None:
         self.mvft = mvft
@@ -223,9 +222,10 @@ class Cube:
         structure and totals forever — both through the lattice and
         through the engine.  Every pivot first asks the table for
         :meth:`~repro.core.multiversion.MultiVersionFactTable.refreshed`
-        (derived after fact appends, rebuilt after evolutions); cubes
-        over MVCC snapshot clones never pay this (their schemas are
-        immutable).  Returns whether the table changed.
+        (derived after fact appends, rebuilt after evolutions); the
+        lattice asks too and lands on the same table, so one write is
+        inferred once.  Cubes over MVCC snapshot clones never pay this
+        (their schemas are immutable).  Returns whether the table changed.
         """
         mvft = self.mvft.refreshed()
         if mvft is self.mvft:
@@ -237,8 +237,6 @@ class Cube:
             self.executor = _rebuild_executor(self.executor, mvft)
             if self.executor is not None and self.lineage is not None:
                 self.executor.engine.set_lineage(self.lineage)
-        if self.lattice is not None:
-            self.lattice.rebind(mvft)
         metrics = (
             self._metrics if self._metrics is not None else _obs.current_metrics()
         )

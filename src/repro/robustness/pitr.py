@@ -360,8 +360,13 @@ class AsOfSnapshot:
         self.lsn = lsn
         self.schema = schema
         self.database = database
-        self._mvft: Any = None
         self._engine: Any = None
+
+    def __del__(self) -> None:
+        # The historical schema and the table it keeps refer to each
+        # other; dropping the table with the snapshot frees both by
+        # reference counting rather than a later full GC pass.
+        self.schema._table = None
 
     @property
     def version(self) -> int:
@@ -370,18 +375,16 @@ class AsOfSnapshot:
 
     @property
     def mvft(self):
-        """The MultiVersion fact table of the historical schema (cached).
+        """The MultiVersion fact table of the historical schema: its
+        current table, stamped with the pinned LSN.
 
-        Stamped with the pinned LSN so versioned result-cache entries
-        computed by one AS-OF reader serve other readers of the same
-        target (the historical state at an LSN is immutable by
-        definition).
+        The stamp lets versioned result-cache entries computed by one
+        AS-OF reader serve other readers of the same target (the
+        historical state at an LSN is immutable by definition).
         """
-        if self._mvft is None:
-            mvft = self.schema.multiversion_facts()
-            mvft.snapshot_version = self.lsn
-            self._mvft = mvft
-        return self._mvft
+        mvft = self.schema.multiversion_facts()
+        mvft.snapshot_version = self.lsn
+        return mvft
 
     def query_engine(self):
         """A query engine over the historical MVFT (cached)."""

@@ -15,7 +15,6 @@
 """
 
 from .delta import DeltaMultiVersionStore
-from .incremental import IncrementalMultiVersion
 from .etl import (
     CleaningRule,
     ETLPipeline,
@@ -46,7 +45,6 @@ __all__ = [
     "MultiVersionDataWarehouse",
     "MV_FACT_TABLE",
     "DeltaMultiVersionStore",
-    "IncrementalMultiVersion",
     "MAPPING_TABLE",
     "build_mapping_table",
     "mapping_relations_extract",

@@ -10,7 +10,8 @@ import pytest
 
 from repro.concurrency import ShardedExecutor, SnapshotManager, shard_rows
 from repro.core import (
-    Interval, LevelFilter, LevelGroup, QUARTER, Query, QueryEngine, TimeGroup, YEAR,
+    Interval, LevelFilter, LevelGroup, MultiVersionFactTable, QUARTER, Query,
+    QueryEngine, TimeGroup, YEAR,
 )
 from repro.core.chronology import ym
 from repro.core.query import merge_contributions
@@ -131,9 +132,9 @@ class TestShardedEqualsSerial:
     def test_unfilled_mode_as_forced(self, study, shards):
         """A version mode no reader has needed yet is filled by the read
         that needs it, serial or sharded, never read as empty."""
-        forced = study.schema.multiversion_facts()
+        forced = MultiVersionFactTable.build(study.schema)
         forced.unmapped  # fills every mode
-        serial, sharded = (study.schema.multiversion_facts() for _ in range(2))
+        serial, sharded = (MultiVersionFactTable.build(study.schema) for _ in range(2))
         query = Query(group_by=(TimeGroup(YEAR), LevelGroup("org", "Division")))
         for mode in forced.modes.version_modes:
             assert mode.label not in serial.cell_count()

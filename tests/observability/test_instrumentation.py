@@ -67,7 +67,7 @@ class TestQueryEngine:
         """Each structure version builds a level's labels once, under a
         ``structure.labels`` span; a second read, even by a new engine,
         opens none."""
-        mvft = case_study.schema.multiversion_facts()  # nothing resolved yet
+        mvft = MultiVersionFactTable.build(case_study.schema)  # nothing resolved yet
         tracer = Tracer()
         with instrumented(tracer=tracer):
             QueryEngine(mvft).execute(q1)

@@ -253,10 +253,8 @@ class TestLatticeBackedCube:
         )
         assert view.rows == ["2001"]
 
-    def test_shared_lattice_can_be_injected(self, mvft):
-        lattice = AggregateLattice(mvft)
-        cube = Cube(mvft, lattice=lattice)
-        assert cube.lattice is lattice
+    def test_materialized_cube_pivots_a_version_mode(self, mvft):
+        cube = Cube(mvft, materialize=True)
         view = cube.pivot("V2", TimeAxis(), LevelAxis(ORG, "Division"), "amount")
         assert view.cell("2002", "Sales").value == 100.0
 

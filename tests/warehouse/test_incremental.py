@@ -1,8 +1,11 @@
 """Tests for incremental MultiVersion maintenance.
 
-A maintained table must be *exactly* the table a full rebuild gives —
-same rows in the same order, same values, confidences and provenance,
-same unmapped facts — and it must never change under a reader's feet.
+The schema keeps its current MultiVersion fact table
+(``schema.multiversion_facts()``) and brings it up to date on each read
+after ``schema.add_fact``.  A maintained table must be *exactly* the
+table a full rebuild gives — same rows in the same order, same values,
+confidences and provenance, same unmapped facts — and it must never
+change under a reader's feet.
 """
 
 import random
@@ -12,21 +15,25 @@ import pytest
 from repro.cache import VersionedResultCache
 from repro.core import (
     AVG,
+    COUNT,
     LevelGroup,
     Measure,
-    ModelError,
     MultiVersionFactTable,
     Query,
     QueryEngine,
-    SUM,
     TimeGroup,
     YEAR,
 )
 from repro.core.chronology import ym
 from repro.observability import MetricsRegistry, instrumented
 from repro.robustness import TransactionManager
-from repro.warehouse import IncrementalMultiVersion
-from repro.workloads.case_study import ORG, build_case_study, fact_instant
+from repro.workloads.case_study import (
+    ORG,
+    _apply_evolutions,
+    _base_schema,
+    build_case_study,
+    fact_instant,
+)
 from repro.workloads.generator import WorkloadConfig, generate_workload
 
 
@@ -67,41 +74,41 @@ def sales_2001(mvft, cache=None):
 class TestEquivalenceToBatchRebuild:
     def test_appends_match_full_rebuild(self):
         """Grow the fact table fact by fact; after every append the
-        incremental table equals a from-scratch rebuild."""
+        schema's table equals a from-scratch rebuild."""
         reference = build_case_study()
         stream = [
             (dict(row.coordinates), row.t, {m: row.value(m) for m in row.values})
             for row in reference.schema.facts
         ]
         study = build_case_study(with_facts=False)
-        incremental = IncrementalMultiVersion(study.schema)
-        assert len(incremental.mvft) == 0
+        schema = study.schema
+        assert len(schema.multiversion_facts()) == 0
         for coordinates, t, values in stream:
-            incremental.append_fact(coordinates, t, values)
-            rebuilt = MultiVersionFactTable.build(study.schema)
-            assert snapshot(incremental.mvft) == snapshot(rebuilt)
+            schema.add_fact(coordinates, t, values)
+            rebuilt = MultiVersionFactTable.build(schema)
+            assert snapshot(schema.multiversion_facts()) == snapshot(rebuilt)
 
     def test_final_state_matches_case_study(self, mvft):
         reference = build_case_study()
-        study = build_case_study(with_facts=False)
-        incremental = IncrementalMultiVersion(study.schema)
+        schema = build_case_study(with_facts=False).schema
+        schema.multiversion_facts()
         for row in reference.schema.facts:
-            incremental.append_fact(
+            schema.add_fact(
                 dict(row.coordinates), row.t, {m: row.value(m) for m in row.values}
             )
-        assert snapshot(incremental.mvft) == snapshot(mvft)
+        assert snapshot(schema.multiversion_facts()) == snapshot(mvft)
 
 
 class TestMergingCells:
     def test_second_fact_merges_into_mapped_cell(self):
         """Two facts at the same instant on Bill and Paul both map onto
         the Jones cell in mode V2 and must fold to their sum."""
-        study = build_case_study(with_facts=False)
-        incremental = IncrementalMultiVersion(study.schema)
+        schema = build_case_study(with_facts=False).schema
+        schema.multiversion_facts()
         t = fact_instant(2003)
-        incremental.append_fact({ORG: "bill"}, t, amount=150.0)
-        incremental.append_fact({ORG: "paul"}, t, amount=50.0)
-        cell = incremental.mvft.lookup({ORG: "jones"}, t, "V2")
+        schema.add_fact({ORG: "bill"}, t, amount=150.0)
+        schema.add_fact({ORG: "paul"}, t, amount=50.0)
+        cell = schema.multiversion_facts().lookup({ORG: "jones"}, t, "V2")
         assert cell is not None
         assert cell.value("amount") == 200.0
         assert cell.confidence("amount").symbol == "em"
@@ -112,63 +119,60 @@ class TestAppendRegressions:
     in place."""
 
     def test_cached_engine_sees_append(self):
-        study = build_case_study()
-        incremental = IncrementalMultiVersion(study.schema)
+        schema = build_case_study().schema
         cache = VersionedResultCache()
-        assert sales_2001(incremental.mvft, cache) == 150.0
-        incremental.append_fact({ORG: "jones"}, fact_instant(2001), amount=1000.0)
-        assert sales_2001(incremental.mvft, cache) == 1150.0
-        assert sales_2001(incremental.mvft) == 1150.0
+        assert sales_2001(schema.multiversion_facts(), cache) == 150.0
+        schema.add_fact({ORG: "jones"}, fact_instant(2001), amount=1000.0)
+        assert sales_2001(schema.multiversion_facts(), cache) == 1150.0
+        assert sales_2001(schema.multiversion_facts()) == 1150.0
 
     def test_served_table_is_not_stale(self):
-        study = build_case_study()
-        incremental = IncrementalMultiVersion(study.schema)
-        incremental.append_fact({ORG: "jones"}, fact_instant(2001), amount=1000.0)
-        assert incremental.mvft.is_stale() is False
+        schema = build_case_study().schema
+        schema.multiversion_facts()
+        schema.add_fact({ORG: "jones"}, fact_instant(2001), amount=1000.0)
+        assert schema.multiversion_facts().is_stale() is False
 
     def test_facts_on_one_cell_keep_one_tcm_row_each(self):
-        study = build_case_study()
-        incremental = IncrementalMultiVersion(study.schema)
-        before = len(incremental.mvft.slice("tcm"))
-        incremental.append_fact({ORG: "jones"}, fact_instant(2001), amount=1000.0)
-        assert len(incremental.mvft.slice("tcm")) == before + 1 == 11
-        assert snapshot(incremental.mvft) == snapshot(
-            MultiVersionFactTable.build(study.schema)
+        schema = build_case_study().schema
+        before = len(schema.multiversion_facts().slice("tcm"))
+        schema.add_fact({ORG: "jones"}, fact_instant(2001), amount=1000.0)
+        assert len(schema.multiversion_facts().slice("tcm")) == before + 1 == 11
+        assert snapshot(schema.multiversion_facts()) == snapshot(
+            MultiVersionFactTable.build(schema)
         )
 
     def test_derived_provenance_keeps_mapping_and_source(self):
-        study = build_case_study()
-        incremental = IncrementalMultiVersion(study.schema)
+        schema = build_case_study().schema
+        schema.multiversion_facts()
         t = fact_instant(2003)
-        incremental.append_fact({ORG: "bill"}, t, amount=5.0)
-        cell = incremental.mvft.lookup({ORG: "jones"}, t, "V1")
+        schema.add_fact({ORG: "bill"}, t, amount=5.0)
+        cell = schema.multiversion_facts().lookup({ORG: "jones"}, t, "V1")
         assert cell.provenance[-1] == "bill -> jones via {'amount': 'x -> x'}"
-        # A fact loaded with its ETL origin, straight into the schema.
-        study.schema.add_fact({ORG: "paul"}, t, amount=6.0, source="erp#7")
-        derived = incremental.mvft
+        # A fact loaded with its ETL origin.
+        schema.add_fact({ORG: "paul"}, t, amount=6.0, source="erp#7")
+        derived = schema.multiversion_facts()
         cell = derived.lookup({ORG: "jones"}, t, "V1")
         assert cell.provenance[-1] == "paul -> jones via {'amount': 'x -> x'} [from erp#7]"
         assert derived.slice("tcm")[-1].provenance == ("source data [from erp#7]",)
-        assert snapshot(derived) == snapshot(MultiVersionFactTable.build(study.schema))
+        assert snapshot(derived) == snapshot(MultiVersionFactTable.build(schema))
 
 
 class TestLifecycle:
     def test_validation_still_enforced(self):
-        study = build_case_study(with_facts=False)
-        incremental = IncrementalMultiVersion(study.schema)
+        schema = build_case_study(with_facts=False).schema
+        schema.multiversion_facts()
         from repro.core import FactValidityError
 
         with pytest.raises(FactValidityError):
-            incremental.append_fact({ORG: "jones"}, fact_instant(2003), amount=1.0)
+            schema.add_fact({ORG: "jones"}, fact_instant(2003), amount=1.0)
 
     def test_batch_of_appends_folds_in_one_derive(self):
-        study = build_case_study()
-        incremental = IncrementalMultiVersion(study.schema)
-        incremental.mvft
+        schema = build_case_study().schema
+        schema.multiversion_facts()
         with instrumented(metrics=MetricsRegistry()) as (_, metrics):
             for year in (2001, 2002):
-                incremental.append_fact({ORG: "jones"}, fact_instant(year), amount=1.0)
-            incremental.mvft
+                schema.add_fact({ORG: "jones"}, fact_instant(year), amount=1.0)
+            schema.multiversion_facts()
         assert metrics.snapshot()["counters"] == {'mvft.builds{kind="derived"}': 1}
 
     def test_unroutable_fact_recorded_as_unmapped(self):
@@ -180,43 +184,44 @@ class TestLifecycle:
             "org", "orphan", "Dpt.Orphan", fact_instant(2003) - 1,
             parents=["sales"], level="Department",
         )
-        incremental = IncrementalMultiVersion(study.schema)
-        incremental.append_fact({ORG: "orphan"}, fact_instant(2003), amount=5.0)
-        assert any(u.source == "orphan" for u in incremental.mvft.unmapped)
+        schema = study.schema
+        schema.multiversion_facts()
+        schema.add_fact({ORG: "orphan"}, fact_instant(2003), amount=5.0)
+        assert any(u.source == "orphan" for u in schema.multiversion_facts().unmapped)
 
     def test_evolution_forces_rebuild(self):
         from repro.core import EvolutionManager
 
         study = build_case_study()
-        incremental = IncrementalMultiVersion(study.schema)
-        first = incremental.mvft
-        EvolutionManager(study.schema).split_member(
+        schema = study.schema
+        first = schema.multiversion_facts()
+        EvolutionManager(schema).split_member(
             ORG,
             "smith",
             {"smith_a": ("Dpt.Smith-A", 0.5), "smith_b": ("Dpt.Smith-B", 0.5)},
             ym(2004, 1),
         )
-        assert incremental.mvft is not first
-        assert incremental.mvft.modes.labels == ["tcm", "V1", "V2", "V3", "V4"]
-        assert snapshot(incremental.mvft) == snapshot(
-            MultiVersionFactTable.build(study.schema)
+        assert schema.multiversion_facts() is not first
+        assert schema.multiversion_facts().modes.labels == ["tcm", "V1", "V2", "V3", "V4"]
+        assert snapshot(schema.multiversion_facts()) == snapshot(
+            MultiVersionFactTable.build(schema)
         )
 
-    def test_non_foldable_aggregate_rejected(self):
-        from repro.core import (
-            Interval,
-            MemberVersion,
-            TemporalDimension,
-            TemporalMultidimensionalSchema,
-        )
-
-        d = TemporalDimension("org")
-        d.add_member(MemberVersion("a", "A", Interval(0)))
-        schema = TemporalMultidimensionalSchema(
-            [d], [Measure("amount", SUM), Measure("mean", AVG)]
-        )
-        with pytest.raises(ModelError):
-            IncrementalMultiVersion(schema)
+    def test_non_foldable_aggregate_rebuilds(self):
+        """Count and avg cannot resume a folded cell, so an append
+        rebuilds the table, which still equals a fresh build."""
+        schema, manager = _base_schema([Measure("n", COUNT), Measure("mean", AVG)])
+        _apply_evolutions(manager, split_shares_bill=0.4, split_shares_paul=0.6)
+        for year, dept in ((2001, "jones"), (2002, "smith"), (2003, "bill")):
+            schema.add_fact({ORG: dept}, fact_instant(year), n=1.0, mean=10.0)
+        first = schema.multiversion_facts()
+        snapshot(first)  # every mode filled
+        with instrumented(metrics=MetricsRegistry()) as (_, metrics):
+            schema.add_fact({ORG: "paul"}, fact_instant(2003), n=1.0, mean=30.0)
+            table = schema.multiversion_facts()
+        assert metrics.snapshot()["counters"] == {'mvft.builds{kind="full"}': 1}
+        assert table is not first and table.modes.labels == ["tcm", "V1", "V2", "V3"]
+        assert snapshot(table) == snapshot(MultiVersionFactTable.build(schema))
 
 
 class _History:
@@ -328,9 +333,8 @@ class TestDerivedEqualsRebuiltProperty:
                 else:
                     getattr(history, step)()
                 if history.rng.random() < 0.7:
-                    # The check fills every slot, so it reads a sibling
-                    # derived from the same parent and the kept table
-                    # stays partly filled.
+                    # The parent's refresh lands on the same successor,
+                    # which the check then fills in every slot.
                     parent, table = table, table.refreshed()
                     self.check(history.schema, parent.refreshed(), cache)
             table = table.refreshed()
