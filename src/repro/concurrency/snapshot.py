@@ -75,11 +75,9 @@ class SchemaSnapshot:
         self.version = version
 
     def __del__(self) -> None:
-        # The clone and the table it keeps refer to each other.  Dropping
-        # the table with the snapshot lets reference counting free both
-        # when the last reader lets go, instead of a full GC pass later:
-        # a snapshot is published per commit.
-        self.schema._table = None
+        # A snapshot is published per commit: free its clone and table
+        # when the last reader lets go, not at a later full GC pass.
+        self.schema.release_table()
 
     def mvft(self):
         """The snapshot's MultiVersion fact table: its clone schema's

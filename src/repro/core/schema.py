@@ -303,6 +303,19 @@ class TemporalMultidimensionalSchema:
             self._table = table = kept._successor()
             return table
 
+    def release_table(self) -> None:
+        """Drop the kept MultiVersion fact table.
+
+        The schema and the table it keeps refer to each other, so a
+        dropped schema and its table otherwise wait for a full GC pass.
+        An owner that holds a schema for its whole life, such as a
+        snapshot with its clone, calls this when it is freed, and
+        reference counting frees both at once.  It takes no lock, since
+        it may run in a finalizer; the next :meth:`multiversion_facts`
+        builds a fresh table.
+        """
+        self._table = None
+
     # -- validation --------------------------------------------------------------
 
     def validate(self) -> None:

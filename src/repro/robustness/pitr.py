@@ -363,10 +363,8 @@ class AsOfSnapshot:
         self._engine: Any = None
 
     def __del__(self) -> None:
-        # The historical schema and the table it keeps refer to each
-        # other; dropping the table with the snapshot frees both by
-        # reference counting rather than a later full GC pass.
-        self.schema._table = None
+        # Free the historical schema and its table with the snapshot.
+        self.schema.release_table()
 
     @property
     def version(self) -> int:
